@@ -2,8 +2,10 @@
 
 JSON on stdout is the stable machine interface and is byte-identical for
 identical (arguments, seed). Diagnostics go to stderr. Exit codes: 0 on
-success (an empty selection is a success), 1 on input errors, 2 when the
-solution search timed out while counting insisted solutions exist.
+success (an empty selection is a success); 2 when slicing's searches could
+not collect the solutions counting reported (``SearchDisagreement``); 1 on
+every other error, input and capacity errors included, after one ``error:``
+line on stderr.
 """
 
 from __future__ import annotations
@@ -17,18 +19,20 @@ import numpy as np
 
 from . import portfolio as pf
 from .comparators import ComparatorLayout, eq_circuit, gt_circuit, lt_circuit
-from .oracles import single_list_oracle, two_list_oracle
-from .search import (
-    m_detect,
-    m_exact,
-    quantum_counting,
-    t_for_resolution,
-)
+from .search import SearchDisagreement, t_for_resolution
 from .sim import apply, new_basis_state
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors: usage, one ``error:`` line, exit code 1."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"error: {message}\n")
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qslice",
         description="Grover-based portfolio slicing and maximum-Sharpe selection",
     )
@@ -82,15 +86,20 @@ def _fail(message: str) -> int:
     return 1
 
 
-def _load(args: argparse.Namespace) -> tuple[pf.FrontierTable, int]:
+def _load(args: argparse.Namespace) -> pf.FrontierTable:
+    """Check the resolution and any thresholds, then read and quantize the input."""
     d = args.resolution
     if not 0.0 < d <= 1.0:
         raise ValueError(f"--resolution must lie in (0, 1], got {d}")
     t = t_for_resolution(d)
     if t < 1:
         raise ValueError(f"--resolution {d} gives no usable comparator bits")
+    for name in ("return_min", "risk_max"):
+        v = getattr(args, name, None)
+        if v is not None and not 0.0 <= v < 1.0:
+            raise ValueError(f"--{name.replace('_', '-')} must lie in [0, 1)")
     with open(args.input, "r", encoding="utf-8", newline="") as handle:
-        return pf.load_frontier(handle, t), t
+        return pf.load_frontier(handle, t)
 
 
 def _count_payload(est) -> dict:
@@ -104,21 +113,11 @@ def _count_payload(est) -> dict:
 
 
 def cmd_slice(args: argparse.Namespace) -> int:
-    try:
-        table, _ = _load(args)
-        for name in ("return_min", "risk_max"):
-            v = getattr(args, name)
-            if not 0.0 <= v < 1.0:
-                raise ValueError(f"--{name.replace('_', '-')} must lie in [0, 1)")
-        rng = np.random.default_rng(args.seed)
-        result = pf.slice_portfolios(
-            table, args.return_min, args.risk_max, rng, args.backend
-        )
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    table = _load(args)
+    rng = np.random.default_rng(args.seed)
+    result = pf.slice_portfolios(
+        table, args.return_min, args.risk_max, rng, args.backend
+    )
     payload = {
         "selected_ids": sorted(result.ids),
         "count_estimate": _count_payload(result.enumeration.count_estimate),
@@ -132,14 +131,11 @@ def cmd_slice(args: argparse.Namespace) -> int:
 
 
 def cmd_max_sharpe(args: argparse.Namespace) -> int:
-    try:
-        table, _ = _load(args)
-        if args.repeat < 1:
-            raise ValueError("--repeat must be >= 1")
-        rng = np.random.default_rng(args.seed)
-        result = pf.max_sharpe(table, args.rf, rng, args.repeat, args.backend)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    table = _load(args)
+    if args.repeat < 1:
+        raise ValueError("--repeat must be >= 1")
+    rng = np.random.default_rng(args.seed)
+    result = pf.max_sharpe(table, args.rf, rng, args.repeat, args.backend)
     payload = {
         "id": result.id,
         "sharpe_raw": result.sharpe_raw,
@@ -154,39 +150,14 @@ def cmd_max_sharpe(args: argparse.Namespace) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    try:
-        table, t = _load(args)
-        if args.return_min is None and args.risk_max is None:
-            raise ValueError("count needs --return-min and/or --risk-max")
-        for name in ("return_min", "risk_max"):
-            v = getattr(args, name)
-            if v is not None and not 0.0 <= v < 1.0:
-                raise ValueError(f"--{name.replace('_', '-')} must lie in [0, 1)")
-        if args.return_min is not None and args.risk_max is not None:
-            oracle = two_list_oracle(
-                table.returns,
-                table.sigmas,
-                pf.quantize(args.return_min, t),
-                pf.quantize(args.risk_max, t),
-            )
-        elif args.return_min is not None:
-            oracle = single_list_oracle(
-                table.returns, pf.quantize(args.return_min, t), "gt"
-            )
-        else:
-            oracle = single_list_oracle(
-                table.sigmas, pf.quantize(args.risk_max, t), "lt"
-            )
-        rng = np.random.default_rng(args.seed)
-        pick_m = m_exact if args.mode == "exact" else m_detect
-        est = quantum_counting(oracle, pick_m(oracle.index_size), rng, args.backend)
-        doubled = False
-        if est.m_rounded > oracle.index_size / 2:
-            oracle = oracle.doubled()
-            doubled = True
-            est = quantum_counting(oracle, pick_m(oracle.index_size), rng, args.backend)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    if args.return_min is None and args.risk_max is None:
+        raise ValueError("count needs --return-min and/or --risk-max")
+    table = _load(args)
+    rng = np.random.default_rng(args.seed)
+    result = pf.count_portfolios(
+        table, args.return_min, args.risk_max, rng, args.mode, args.backend
+    )
+    est = result.estimate
     payload = {
         "m_used": est.m,
         "b": est.b,
@@ -195,8 +166,8 @@ def cmd_count(args: argparse.Namespace) -> int:
         "delta_m_bound": est.bound,
         "mode": args.mode,
         "class": est.classify(),
-        "doubled": doubled,
-        "qubit_layout": oracle.layout.to_dict(),
+        "doubled": result.doubled,
+        "qubit_layout": result.layout,
         "seed": args.seed,
         "backend": args.backend,
     }
@@ -243,7 +214,13 @@ _COMMANDS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except SearchDisagreement as exc:
+        _fail(str(exc))
+        return 2
+    except (OSError, ValueError, RuntimeError) as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -1,12 +1,16 @@
 """Threshold oracles over phase-encoded value tables, plus the Grover operator.
 
-An oracle marks list indices whose values satisfy a condition. Values are
-t-bit integers b_k standing for the fractions s_k = b_k / 2**t, phase-encoded
-by a diagonal unitary and recovered exactly into an estimate register by
-phase estimation (exact because the values are exact t-bit fractions). A
-reversible comparator then writes the condition bit, and with the oracle
-qubit prepared in |->, index k picks up the phase (-1)**predicate(k). All
-working registers are uncomputed.
+An oracle marks list indices whose values satisfy an AND/OR tree of
+threshold atoms. Values are t-bit integers b_k standing for the fractions
+s_k = b_k / 2**t. One compiler turns every tree into the same circuit shape:
+phase estimation of each atom's values into an estimate register (exact,
+because the values are exact t-bit fractions); a reversible comparator per
+atom against its threshold register and a combiner per internal node; the
+root writes the oracle qubit, prepared in |->, so index k picks up the
+phase (-1)**predicate(k); then the compute stage runs in reverse and
+uncomputes every working register. The single-list, two-list and
+condition-tree builders wrap that compiler; the direct marking oracle,
+which has no values, is built on its own.
 
 Two backends realise the Grover iteration:
 
@@ -68,6 +72,11 @@ class ValueTable:
     @property
     def size(self) -> int:
         return len(self.values)
+
+    @cached_property
+    def _array(self) -> np.ndarray:
+        """The values as an integer array, for whole-table comparisons."""
+        return np.asarray(self.values, dtype=np.int64)
 
     def fractions(self) -> np.ndarray:
         """The encoded values as exact fractions in [0, 1)."""
@@ -139,28 +148,23 @@ class RegisterLayout:
         return out
 
 
+@dataclass(eq=False)
 class OracleCircuit:
-    """A marking circuit plus its register layout and classical predicate.
+    """A marking circuit plus its register layout and marked-index mask.
 
-    The gate-level circuit is built lazily so that effective-backend searches
-    (which only need the predicate and the layout) stay cheap.
+    The circuit and the mask are built lazily, so effective-backend searches
+    build no gates. Outside the index register the prepared workspace is the
+    basis state ``reference_basis`` (the threshold bits) with the oracle
+    qubit, if there is one, in |->.
     """
 
-    def __init__(
-        self,
-        layout: RegisterLayout,
-        predicate: Callable[[int], bool],
-        circuit_builder: Callable[[], Circuit],
-        prep_builder: Callable[[], Circuit],
-        doubled_builder: Callable[[], "OracleCircuit"] | None = None,
-        description: str = "",
-    ):
-        self.layout = layout
-        self.predicate = predicate
-        self._circuit_builder = circuit_builder
-        self._prep_builder = prep_builder
-        self._doubled_builder = doubled_builder
-        self.description = description
+    layout: RegisterLayout
+    mask_builder: Callable[[], np.ndarray]
+    circuit_builder: Callable[[], Circuit]
+    doubled_builder: Callable[[], "OracleCircuit"]
+    description: str = ""
+    reference_basis: int = 0
+    oracle_qubit: int | None = None
 
     @property
     def num_qubits(self) -> int:
@@ -176,241 +180,56 @@ class OracleCircuit:
 
     @cached_property
     def circuit(self) -> Circuit:
-        return self._circuit_builder()
+        return self.circuit_builder()
 
     @cached_property
     def prep_circuit(self) -> Circuit:
-        return self._prep_builder()
+        """Uniform index register, reference basis bits set, |-> oracle qubit."""
+        gates: list[Gate] = [h(q) for q in self.layout.index]
+        gates.extend(x(q) for q in range(self.num_qubits) if self.reference_basis >> q & 1)
+        if self.oracle_qubit is not None:
+            gates.append(x(self.oracle_qubit))
+            gates.append(h(self.oracle_qubit))
+        return Circuit(self.num_qubits, tuple(gates))
 
     @cached_property
-    def marked_set(self) -> frozenset[int]:
+    def _mask(self) -> np.ndarray:
         if self.index_bits > EFFECTIVE_INDEX_CAP:
             raise ValueError(
                 f"{self.index_bits} index bits exceed the effective-backend cap"
             )
-        return frozenset(k for k in range(self.index_size) if self.predicate(k))
+        return self.mask_builder()
+
+    def predicate(self, k: int) -> bool:
+        """Whether index k is marked."""
+        return bool(self._mask[k])
+
+    @cached_property
+    def marked_set(self) -> frozenset[int]:
+        return frozenset(np.flatnonzero(self._mask).tolist())
 
     def doubled(self) -> "OracleCircuit":
         """The same condition on a doubled index space, upper half sentinel-padded.
 
         Guarantees at most half of the (new) search space is marked.
         """
-        if self._doubled_builder is None:
-            raise ValueError("oracle does not support doubling")
-        return self._doubled_builder()
+        return self.doubled_builder()
 
     def __repr__(self) -> str:
         return f"OracleCircuit({self.description}, qubits={self.num_qubits})"
 
 
-def _prep_gates(
-    index: Sequence[int],
-    thresholds: Sequence[tuple[Sequence[int], int]] = (),
-    oracle_qubit: int | None = None,
-) -> list[Gate]:
-    """Uniform index register, |S> threshold registers, |-> oracle qubit."""
-    gates: list[Gate] = [h(q) for q in index]
-    for register, value in thresholds:
-        for j, q in enumerate(register):
-            if (value >> j) & 1:
-                gates.append(x(q))
-    if oracle_qubit is not None:
-        gates.append(x(oracle_qubit))
-        gates.append(h(oracle_qubit))
-    return gates
-
-
-# ---------------------------------------------------------------------------
-# Oracle builders
-# ---------------------------------------------------------------------------
-
-_COMPARATORS = {
-    "gt": (comparators.gt_circuit, lambda v, s: v > s),
-    "lt": (comparators.lt_circuit, lambda v, s: v < s),
-    "eq": (comparators.eq_circuit, lambda v, s: v == s),
-}
-
-
-def single_list_oracle(
-    table: ValueTable, threshold: int, op: str = "gt"
-) -> OracleCircuit:
-    """Mark indices k with table[k] <op> threshold; layout size n + 2t + 1.
-
-    The circuit is phase estimation of the value unitary into a t-qubit
-    estimate register, a comparator against the threshold register with the
-    oracle qubit as outcome, then exact uncomputation of the estimate.
-    """
-    if op not in _COMPARATORS:
-        raise ValueError(f"op must be one of {sorted(_COMPARATORS)}")
-    t = table.bits
-    n = table.n
-    if not 0 <= threshold < (1 << t):
-        raise ValueError(f"threshold {threshold} does not fit in {t} bits")
-
-    index = tuple(range(n))
-    estimate = tuple(range(n, n + t))
-    thr_reg = tuple(range(n + t, n + 2 * t))
-    oracle_qubit = n + 2 * t
-    nq = n + 2 * t + 1
-    layout = RegisterLayout(
-        nq,
-        (
-            ("index", index),
-            ("estimate", estimate),
-            ("threshold", thr_reg),
-            ("oracle", (oracle_qubit,)),
-        ),
-    )
-    build_cmp, classical = _COMPARATORS[op]
-
-    def build() -> Circuit:
-        pe = phase_estimation_circuit(estimate, table.fractions(), index, nq)
-        cmp_local = build_cmp(t)
-        mapping = {i: estimate[i] for i in range(t)}
-        mapping.update({t + i: thr_reg[i] for i in range(t)})
-        mapping[2 * t] = oracle_qubit
-        cmp_circ = remap(cmp_local, mapping, nq)
-        return pe.then(cmp_circ).then(pe.inverse())
-
-    def prep() -> Circuit:
-        return Circuit(nq, tuple(_prep_gates(index, [(thr_reg, threshold)], oracle_qubit)))
-
-    return OracleCircuit(
-        layout,
-        lambda k: classical(table[k], threshold),
-        build,
-        prep,
-        doubled_builder=lambda: single_list_oracle(
-            table.padded(_sentinel_for(op, threshold, t)), threshold, op
-        ),
-        description=f"single-list {op} S={threshold}",
-    )
-
-
-def _sentinel_for(op: str, threshold: int, bits: int) -> int:
-    """A padding value that can never satisfy the condition."""
-    if op == "gt":
-        return 0
-    if op == "lt":
-        return (1 << bits) - 1
-    return 0 if threshold != 0 else 1
-
-
-def two_list_oracle(
-    returns: ValueTable, sigmas: ValueTable, s1: int, s2: int
-) -> OracleCircuit:
-    """Mark indices with returns[k] > s1 AND sigmas[k] < s2; size 2n + 4t + 3.
-
-    The index register is fanned out into a copy via CX so the two phase
-    estimations run on separate registers; two greater-than comparators
-    write flag qubits, an AND flips the |-> oracle qubit, and everything is
-    uncomputed in reverse.
-    """
-    if returns.bits != sigmas.bits or returns.n != sigmas.n:
-        raise ValueError("the two tables must share index size and resolution")
-    t = returns.bits
-    n = returns.n
-    for name, s in (("s1", s1), ("s2", s2)):
-        if not 0 <= s < (1 << t):
-            raise ValueError(f"{name}={s} does not fit in {t} bits")
-
-    index = tuple(range(n))
-    copy = tuple(range(n, 2 * n))
-    r_est = tuple(range(2 * n, 2 * n + t))
-    r_thr = tuple(range(2 * n + t, 2 * n + 2 * t))
-    r_flag = 2 * n + 2 * t
-    s_est = tuple(range(2 * n + 2 * t + 1, 2 * n + 3 * t + 1))
-    s_thr = tuple(range(2 * n + 3 * t + 1, 2 * n + 4 * t + 1))
-    s_flag = 2 * n + 4 * t + 1
-    oracle_qubit = 2 * n + 4 * t + 2
-    nq = 2 * n + 4 * t + 3
-    layout = RegisterLayout(
-        nq,
-        (
-            ("index", index),
-            ("index_copy", copy),
-            ("return_estimate", r_est),
-            ("return_threshold", r_thr),
-            ("return_flag", (r_flag,)),
-            ("risk_estimate", s_est),
-            ("risk_threshold", s_thr),
-            ("risk_flag", (s_flag,)),
-            ("oracle", (oracle_qubit,)),
-        ),
-    )
-
-    def build() -> Circuit:
-        fanout = Circuit(nq, tuple(x(copy[i], {index[i]}) for i in range(n)))
-        pe_r = phase_estimation_circuit(r_est, returns.fractions(), index, nq)
-        pe_s = phase_estimation_circuit(s_est, sigmas.fractions(), copy, nq)
-        gt = comparators.gt_circuit(t)
-        # returns[k] > s1: operand A is the estimate, B the threshold
-        map1 = {i: r_est[i] for i in range(t)}
-        map1.update({t + i: r_thr[i] for i in range(t)})
-        map1[2 * t] = r_flag
-        cmp1 = remap(gt, map1, nq)
-        # s2 > sigmas[k]: operand A is the threshold, B the estimate
-        map2 = {i: s_thr[i] for i in range(t)}
-        map2.update({t + i: s_est[i] for i in range(t)})
-        map2[2 * t] = s_flag
-        cmp2 = remap(gt, map2, nq)
-        compute = fanout.then(pe_r).then(pe_s).then(cmp1).then(cmp2)
-        combine = Circuit(nq, (x(oracle_qubit, {r_flag, s_flag}),))
-        return compute.then(combine).then(compute.inverse())
-
-    def prep() -> Circuit:
-        return Circuit(
-            nq,
-            tuple(_prep_gates(index, [(r_thr, s1), (s_thr, s2)], oracle_qubit)),
-        )
-
-    def predicate(k: int) -> bool:
-        return returns[k] > s1 and sigmas[k] < s2
-
-    return OracleCircuit(
-        layout,
-        predicate,
-        build,
-        prep,
-        doubled_builder=lambda: two_list_oracle(
-            returns.padded(0), sigmas.padded((1 << t) - 1), s1, s2
-        ),
-        description=f"two-list r>{s1} and sigma<{s2}",
-    )
-
-
-def direct_marking_oracle(n: int, marked: Iterable[int]) -> OracleCircuit:
-    """Phase-flip oracle on an explicit marked set; layout is n index qubits only."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    marked_set = frozenset(int(k) for k in marked)
-    size = 1 << n
-    for k in marked_set:
-        if not 0 <= k < size:
-            raise ValueError(f"marked index {k} out of range for n={n}")
-    index = tuple(range(n))
-    layout = RegisterLayout(n, (("index", index),))
-    turns = [0.5 if k in marked_set else 0.0 for k in range(size)]
-
-    def build() -> Circuit:
-        return Circuit(n, (phase(index, turns),))
-
-    def prep() -> Circuit:
-        return Circuit(n, tuple(h(q) for q in index))
-
-    return OracleCircuit(
-        layout,
-        lambda k: k in marked_set,
-        build,
-        prep,
-        doubled_builder=lambda: direct_marking_oracle(n + 1, marked_set),
-        description=f"direct marking of {sorted(marked_set)}",
-    )
-
-
 # ---------------------------------------------------------------------------
 # Condition trees
 # ---------------------------------------------------------------------------
+
+#: Each comparison: its reversible circuit on (estimate, threshold, flag),
+#: and the same strict test on an array of values.
+_COMPARATORS = {
+    "gt": (comparators.gt_circuit, np.greater),
+    "lt": (comparators.lt_circuit, np.less),
+    "eq": (comparators.eq_circuit, np.equal),
+}
 
 
 @dataclass(frozen=True)
@@ -427,8 +246,9 @@ class Atom:
         if not 0 <= self.threshold < (1 << self.table.bits):
             raise ValueError("threshold out of range for the table resolution")
 
-    def evaluate(self, k: int) -> bool:
-        return _COMPARATORS[self.op][1](self.table[k], self.threshold)
+    def mask(self) -> np.ndarray:
+        """Boolean array over the indices: table[k] <op> threshold."""
+        return _COMPARATORS[self.op][1](self.table._array, self.threshold)
 
 
 def greater_than(table: ValueTable, threshold: int) -> Atom:
@@ -447,16 +267,16 @@ def equals(table: ValueTable, threshold: int) -> Atom:
 class AllOf:
     children: tuple
 
-    def evaluate(self, k: int) -> bool:
-        return all(c.evaluate(k) for c in self.children)
+    def mask(self) -> np.ndarray:
+        return np.logical_and.reduce([c.mask() for c in self.children])
 
 
 @dataclass(frozen=True)
 class AnyOf:
     children: tuple
 
-    def evaluate(self, k: int) -> bool:
-        return any(c.evaluate(k) for c in self.children)
+    def mask(self) -> np.ndarray:
+        return np.logical_or.reduce([c.mask() for c in self.children])
 
 
 Condition = Atom | AllOf | AnyOf
@@ -470,13 +290,152 @@ def any_of(*children: Condition) -> AnyOf:
     return AnyOf(tuple(children))
 
 
-def _condition_atoms(cond: Condition) -> list[Atom]:
+def _walk(cond: Condition):
+    """Every node of the tree, each after all of its descendants."""
+    if not isinstance(cond, Atom):
+        for c in cond.children:
+            yield from _walk(c)
+    yield cond
+
+
+def _double_condition(cond: Condition) -> Condition:
+    """The condition over tables doubled with padding values that never satisfy it."""
     if isinstance(cond, Atom):
-        return [cond]
+        never = {"gt": 0, "lt": (1 << cond.table.bits) - 1, "eq": int(cond.threshold == 0)}
+        return Atom(cond.op, cond.table.padded(never[cond.op]), cond.threshold)
+    kind = AllOf if isinstance(cond, AllOf) else AnyOf
+    return kind(tuple(_double_condition(c) for c in cond.children))
+
+
+# ---------------------------------------------------------------------------
+# The oracle compiler and its builders
+# ---------------------------------------------------------------------------
+
+
+def _compile(
+    cond: Condition,
+    description: str,
+    names: dict[str, str] | None = None,
+    fanout: bool = False,
+) -> OracleCircuit:
+    """Compile a condition tree into a marking oracle.
+
+    Registers, in order: the index; with ``fanout`` a CX copy of it, which
+    the phase estimations of all atoms but the first read; per distinct atom
+    an estimate and a threshold register, plus a flag qubit unless the atom
+    is the root; one ancilla per distinct internal node below the root; the
+    oracle qubit. Registers are named index, index_copy, estimate_i,
+    threshold_i, flag_i, node_j and oracle, each renamed through ``names``
+    where it has an entry. Equal atoms share one block; an internal node
+    object that occurs several times is computed once.
+    """
     atoms: list[Atom] = []
-    for c in cond.children:
-        atoms.extend(_condition_atoms(c))
-    return atoms
+    for node in _walk(cond):
+        if isinstance(node, Atom) and node not in atoms:
+            atoms.append(node)
+    n, t = atoms[0].table.n, atoms[0].table.bits
+    if any(a.table.n != n or a.table.bits != t for a in atoms):
+        raise ValueError("all atoms must share index size and resolution")
+
+    registers: list[tuple[str, tuple[int, ...]]] = []
+
+    def reserve(name: str, width: int) -> tuple[int, ...]:
+        start = sum(len(qubits) for _, qubits in registers)
+        qubits = tuple(range(start, start + width))
+        registers.append(((names or {}).get(name, name), qubits))
+        return qubits
+
+    index = reserve("index", n)
+    copy = reserve("index_copy", n) if fanout else index
+    blocks: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    flags: list[int] = []
+    for i, atom in enumerate(atoms):
+        blocks.append((reserve(f"estimate_{i}", t), reserve(f"threshold_{i}", t)))
+        if atom is not cond:
+            flags.append(reserve(f"flag_{i}", 1)[0])
+    internal = {id(c): c for c in _walk(cond) if not isinstance(c, Atom) and c is not cond}
+    node_qubit = {key: reserve(f"node_{j}", 1)[0] for j, key in enumerate(internal)}
+    oracle_qubit = reserve("oracle", 1)[0]
+    nq = oracle_qubit + 1
+
+    def qubit_of(node: Condition) -> int:
+        if node is cond:
+            return oracle_qubit
+        if isinstance(node, Atom):
+            return flags[atoms.index(node)]
+        return node_qubit[id(node)]
+
+    def write(node: Condition) -> Circuit:
+        """XOR the node's truth value into its qubit, from its inputs."""
+        target = qubit_of(node)
+        if isinstance(node, Atom):
+            est, thr = blocks[atoms.index(node)]
+            return remap(_COMPARATORS[node.op][0](t), est + thr + (target,), nq)
+        inputs = list(dict.fromkeys(qubit_of(c) for c in node.children))
+        make = comparators.and_combiner if isinstance(node, AllOf) else comparators.or_combiner
+        return make(inputs, target, nq)
+
+    def build() -> Circuit:
+        gates: list[Gate] = [x(copy[i], {index[i]}) for i in range(n)] if fanout else []
+        for i, (atom, (est, _)) in enumerate(zip(atoms, blocks)):
+            source = index if i == 0 else copy
+            gates.extend(phase_estimation_circuit(est, atom.table.fractions(), source, nq).gates)
+        compute = Circuit(nq, tuple(gates))
+        # every node below the root: comparators, then combiners in walk
+        # order, so each follows all of its descendants, shared ones included
+        for node in [a for a in atoms if a is not cond] + list(internal.values()):
+            compute = compute.then(write(node))
+        return compute.then(write(cond)).then(compute.inverse())
+
+    return OracleCircuit(
+        RegisterLayout(nq, tuple(registers)),
+        cond.mask,
+        build,
+        lambda: _compile(_double_condition(cond), description, names, fanout),
+        description,
+        reference_basis=sum(a.threshold << thr[0] for a, (_, thr) in zip(atoms, blocks)),
+        oracle_qubit=oracle_qubit,
+    )
+
+
+_SINGLE_LIST_NAMES = {"estimate_0": "estimate", "threshold_0": "threshold"}
+
+_TWO_LIST_NAMES = {
+    f"{kind}_{i}": f"{side}_{kind}"
+    for i, side in enumerate(("return", "risk"))
+    for kind in ("estimate", "threshold", "flag")
+}
+
+
+def single_list_oracle(
+    table: ValueTable, threshold: int, op: str = "gt"
+) -> OracleCircuit:
+    """Mark indices k with table[k] <op> threshold; layout size n + 2t + 1.
+
+    Registers index, estimate, threshold and oracle: phase estimation of the
+    value unitary into the estimate register, a comparator against the
+    threshold register with the oracle qubit as outcome, then exact
+    uncomputation of the estimate.
+    """
+    return _compile(
+        Atom(op, table, threshold), f"single-list {op} S={threshold}", _SINGLE_LIST_NAMES
+    )
+
+
+def two_list_oracle(
+    returns: ValueTable, sigmas: ValueTable, s1: int, s2: int
+) -> OracleCircuit:
+    """Mark indices with returns[k] > s1 AND sigmas[k] < s2; size 2n + 4t + 3.
+
+    The index register is fanned out into a copy via CX so the two phase
+    estimations run on separate registers; the two comparators write the
+    return and risk flag qubits, an AND flips the |-> oracle qubit, and
+    everything is uncomputed in reverse.
+    """
+    cond = all_of(greater_than(returns, s1), less_than(sigmas, s2))
+    return _compile(
+        cond, f"two-list r>{s1} and sigma<{s2}", _TWO_LIST_NAMES, fanout=True
+    )
 
 
 def condition_oracle(cond: Condition) -> OracleCircuit:
@@ -489,102 +448,36 @@ def condition_oracle(cond: Condition) -> OracleCircuit:
     """
     if isinstance(cond, Atom):
         return single_list_oracle(cond.table, cond.threshold, cond.op)
-    atoms = list(dict.fromkeys(_condition_atoms(cond)))  # one block per distinct atom
-    if not atoms:
-        raise ValueError("condition has no atoms")
-    n = atoms[0].table.n
-    t = atoms[0].table.bits
-    for a in atoms:
-        if a.table.n != n or a.table.bits != t:
-            raise ValueError("all atoms must share index size and resolution")
-    if isinstance(cond, (AllOf, AnyOf)) and len(cond.children) < 2:
+    if len(cond.children) < 2:
         raise ValueError("combinators need at least two children")
+    return _compile(cond, "condition tree")
 
+
+def direct_marking_oracle(n: int, marked: Iterable[int]) -> OracleCircuit:
+    """Phase-flip oracle on an explicit marked set; layout is n index qubits only."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    marked_set = frozenset(int(k) for k in marked)
+    size = 1 << n
+    for k in marked_set:
+        if not 0 <= k < size:
+            raise ValueError(f"marked index {k} out of range for n={n}")
     index = tuple(range(n))
-    cursor = n
-    registers: list[tuple[str, tuple[int, ...]]] = [("index", index)]
-    atom_regs: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
-    for i in range(len(atoms)):
-        est = tuple(range(cursor, cursor + t))
-        thr = tuple(range(cursor + t, cursor + 2 * t))
-        flag = cursor + 2 * t
-        cursor += 2 * t + 1
-        registers.append((f"estimate_{i}", est))
-        registers.append((f"threshold_{i}", thr))
-        registers.append((f"flag_{i}", (flag,)))
-        atom_regs.append((est, thr, flag))
 
-    internal: list[Condition] = []
-    node_qubit: dict[int, int] = {}
-    for node in _walk(cond):
-        # a node object may appear several times in the tree; compute it once
-        if isinstance(node, Atom) or node is cond or id(node) in node_qubit:
-            continue
-        internal.append(node)
-        registers.append((f"node_{len(node_qubit)}", (cursor,)))
-        node_qubit[id(node)] = cursor
-        cursor += 1
-    oracle_qubit = cursor
-    registers.append(("oracle", (oracle_qubit,)))
-    nq = cursor + 1
-    layout = RegisterLayout(nq, tuple(registers))
-
-    def bit_of(node: Condition) -> int:
-        if isinstance(node, Atom):
-            return atom_regs[atoms.index(node)][2]
-        return node_qubit[id(node)]
-
-    def combiner(node: AllOf | AnyOf, target: int) -> Circuit:
-        inputs = list(dict.fromkeys(bit_of(c) for c in node.children))
-        make = comparators.and_combiner if isinstance(node, AllOf) else comparators.or_combiner
-        return make(inputs, target, nq)
+    def mask() -> np.ndarray:
+        return np.isin(np.arange(size), list(marked_set))
 
     def build() -> Circuit:
-        parts: list[Circuit] = []
-        for atom, (est, thr, flag) in zip(atoms, atom_regs):
-            pe = phase_estimation_circuit(est, atom.table.fractions(), index, nq)
-            cmp_local = _COMPARATORS[atom.op][0](t)
-            mapping = {i: est[i] for i in range(t)}
-            mapping.update({t + i: thr[i] for i in range(t)})
-            mapping[2 * t] = flag
-            parts.append(pe.then(remap(cmp_local, mapping, nq)).then(pe.inverse()))
-        for node in reversed(internal):  # children before parents
-            parts.append(combiner(node, node_qubit[id(node)]))
-        compute = parts[0]
-        for p in parts[1:]:
-            compute = compute.then(p)
-        root = combiner(cond, oracle_qubit)
-        return compute.then(root).then(compute.inverse())
-
-    def prep() -> Circuit:
-        thresholds = [
-            (thr, atom.threshold) for atom, (_, thr, _) in zip(atoms, atom_regs)
-        ]
-        return Circuit(nq, tuple(_prep_gates(index, thresholds, oracle_qubit)))
+        turns = [0.5 if k in marked_set else 0.0 for k in range(size)]
+        return Circuit(n, (phase(index, turns),))
 
     return OracleCircuit(
-        layout,
-        cond.evaluate,
+        RegisterLayout(n, (("index", index),)),
+        mask,
         build,
-        prep,
-        doubled_builder=lambda: condition_oracle(_double_condition(cond)),
-        description="condition tree",
+        lambda: direct_marking_oracle(n + 1, marked_set),
+        f"direct marking of {sorted(marked_set)}",
     )
-
-
-def _walk(cond: Condition):
-    yield cond
-    if not isinstance(cond, Atom):
-        for c in cond.children:
-            yield from _walk(c)
-
-
-def _double_condition(cond: Condition) -> Condition:
-    if isinstance(cond, Atom):
-        sentinel = _sentinel_for(cond.op, cond.threshold, cond.table.bits)
-        return Atom(cond.op, cond.table.padded(sentinel), cond.threshold)
-    kind = AllOf if isinstance(cond, AllOf) else AnyOf
-    return kind(tuple(_double_condition(c) for c in cond.children))
 
 
 # ---------------------------------------------------------------------------
@@ -666,8 +559,8 @@ def effective_grover_step(state: EffectiveState, marked: Iterable[int]) -> Effec
 def index_amplitudes(state: StateVector, oracle: OracleCircuit) -> np.ndarray:
     """Project a dense workspace state onto the index register.
 
-    Contracts the state against the reference ancilla configuration
-    (thresholds, zeroed work registers, |-> oracle qubit) and checks that no
+    Contracts the state against the oracle's reference ancilla state (its
+    reference basis bits, with the oracle qubit in |->) and checks that no
     amplitude leaked outside it, which holds exactly when uncomputation is
     exact.
     """
@@ -675,9 +568,11 @@ def index_amplitudes(state: StateVector, oracle: OracleCircuit) -> np.ndarray:
     if oracle.layout.index != tuple(range(n)):
         raise ValueError("index register must occupy the low qubits")
     anc_qubits = state.num_qubits - n
-    if anc_qubits == 0:
-        return state.amplitudes.copy()
-    ref = _ancilla_reference(oracle, anc_qubits)
+    ref = np.zeros(1 << anc_qubits, dtype=np.complex128)
+    ref[oracle.reference_basis >> n] = 1.0
+    if oracle.oracle_qubit is not None:  # |-> = (|0> - |1>) / sqrt(2)
+        ref[(oracle.reference_basis | 1 << oracle.oracle_qubit) >> n] = -1.0
+        ref /= math.sqrt(2.0)
     mat = state.amplitudes.reshape(1 << anc_qubits, 1 << n)
     coeffs = ref.conj() @ mat
     residual = mat - np.outer(ref, coeffs)
@@ -685,35 +580,3 @@ def index_amplitudes(state: StateVector, oracle: OracleCircuit) -> np.ndarray:
     if leak > 1e-9:
         raise RuntimeError(f"workspace leaked {leak} outside the reference ancilla state")
     return coeffs
-
-
-def _ancilla_reference(oracle: OracleCircuit, anc_qubits: int) -> np.ndarray:
-    n = oracle.index_bits
-    base = 0
-    for name, qubits in oracle.layout.registers:
-        if name.startswith("threshold") or name.endswith("threshold"):
-            value = _threshold_value_from_prep(oracle, qubits)
-            for j, q in enumerate(qubits):
-                if (value >> j) & 1:
-                    base |= 1 << (q - n)
-    ref = np.zeros(1 << anc_qubits, dtype=np.complex128)
-    oracle_reg = None
-    for name, qubits in oracle.layout.registers:
-        if name == "oracle":
-            oracle_reg = qubits[0]
-    if oracle_reg is None:
-        ref[base] = 1.0
-        return ref
-    bit = 1 << (oracle_reg - n)
-    ref[base] = 1.0 / math.sqrt(2.0)
-    ref[base | bit] = -1.0 / math.sqrt(2.0)
-    return ref
-
-
-def _threshold_value_from_prep(oracle: OracleCircuit, qubits: tuple[int, ...]) -> int:
-    value = 0
-    reg = {q: j for j, q in enumerate(qubits)}
-    for g in oracle.prep_circuit.gates:
-        if g.kind == "X" and not g.controls and g.targets[0] in reg:
-            value |= 1 << reg[g.targets[0]]
-    return value

@@ -5,7 +5,9 @@ values fractions in [0, 1). Rows are padded to a power of two with sentinel
 entries built never to satisfy any condition (return 0, risk 2**t - 1), then
 quantized to the search resolution t. Slicing runs the two-list oracle
 through counting + fixed-iteration Grover; the maximum Sharpe ratio runs the
-single-list oracle through adaptive search.
+single-list oracle through adaptive search; counting runs the two-list or a
+single-list oracle, depending on which thresholds are given, through
+quantum counting.
 """
 
 from __future__ import annotations
@@ -19,7 +21,16 @@ from typing import TextIO
 import numpy as np
 
 from .oracles import ValueTable, single_list_oracle, two_list_oracle
-from .search import EnumerationResult, GasResult, enumerate_solutions, gas
+from .search import (
+    CountEstimate,
+    EnumerationResult,
+    GasResult,
+    enumerate_solutions,
+    gas,
+    m_detect,
+    m_exact,
+    quantum_counting,
+)
 
 
 class FrontierFormatError(ValueError):
@@ -240,3 +251,44 @@ def max_sharpe(
         gas=result,
         layout=layout,
     )
+
+
+@dataclass
+class CountResult:
+    estimate: CountEstimate
+    doubled: bool
+    layout: dict
+
+
+def count_portfolios(
+    table: FrontierTable,
+    return_min: float | None,
+    risk_max: float | None,
+    rng: np.random.Generator,
+    mode: str = "exact",
+    backend: str = "effective",
+) -> CountResult:
+    """Count the rows with return above and/or risk below the given thresholds.
+
+    Both thresholds run the two-list oracle, one of them the single-list
+    oracle. ``mode`` picks the counting width: ``exact`` (m_exact) or
+    ``detect`` (m_detect). A count above half the index space is repeated on
+    the doubled oracle, of which at most half is marked.
+    """
+    if return_min is None and risk_max is None:
+        raise ValueError("counting needs a return and/or a risk threshold")
+    if risk_max is None:
+        oracle = single_list_oracle(table.returns, quantize(return_min, table.t), "gt")
+    elif return_min is None:
+        oracle = single_list_oracle(table.sigmas, quantize(risk_max, table.t), "lt")
+    else:
+        s1, s2 = quantize(return_min, table.t), quantize(risk_max, table.t)
+        oracle = two_list_oracle(table.returns, table.sigmas, s1, s2)
+    pick_m = m_exact if mode == "exact" else m_detect
+    est = quantum_counting(oracle, pick_m(oracle.index_size), rng, backend)
+    doubled = False
+    if est.m_rounded > oracle.index_size / 2:
+        oracle = oracle.doubled()
+        doubled = True
+        est = quantum_counting(oracle, pick_m(oracle.index_size), rng, backend)
+    return CountResult(est, doubled, oracle.layout.to_dict())

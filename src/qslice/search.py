@@ -88,14 +88,19 @@ def _check_backend(backend: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def marked_probability_after(oracle: OracleCircuit, iterations: int) -> float:
-    """Effective-backend marked mass after a fixed number of iterations."""
+def _effective_probabilities(oracle: OracleCircuit, iterations: int) -> np.ndarray:
+    """Index-register probabilities after Grover iterations from |psi>, effectively."""
     state = effective_state_new(oracle.index_bits)
     marked = oracle.marked_set
     for _ in range(iterations):
         state = effective_grover_step(state, marked)
-    probs = state.probabilities()
-    return float(sum(probs[k] for k in marked))
+    return state.probabilities()
+
+
+def marked_probability_after(oracle: OracleCircuit, iterations: int) -> float:
+    """Effective-backend marked mass after a fixed number of iterations."""
+    probs = _effective_probabilities(oracle, iterations)
+    return float(sum(probs[k] for k in oracle.marked_set))
 
 
 def grover_search(
@@ -117,11 +122,7 @@ def grover_search(
             state = sim.apply(state, op)
         outcome, _ = sim.measure_subregister(state, oracle.layout.index, rng)
         return outcome
-    state = effective_state_new(oracle.index_bits)
-    marked = oracle.marked_set
-    for _ in range(iterations):
-        state = effective_grover_step(state, marked)
-    probs = state.probabilities()
+    probs = _effective_probabilities(oracle, iterations)
     probs = probs / probs.sum()
     return int(rng.choice(probs.size, p=probs))
 
@@ -357,6 +358,10 @@ ENUMERATION_EXTRA_BITS = 4
 ENUMERATION_SAMPLES = 15
 
 
+class SearchDisagreement(RuntimeError):
+    """Fixed-iteration searches could not collect the solutions counting reported."""
+
+
 @dataclass
 class EnumerationResult:
     indices: frozenset[int]
@@ -387,40 +392,42 @@ def enumerate_solutions(
     oracle: OracleCircuit,
     rng: np.random.Generator,
     backend: str = "effective",
-    max_attempt_factor: int = 16,
 ) -> EnumerationResult:
     """Count the solutions, then collect them with fixed-iteration Grover runs.
 
     The count uses a register wide enough to round the estimate to the true
     M reliably; the median of several samples guards the tail. If the count
     exceeds N/2 the oracle is doubled first so the iteration formula applies.
-    Raises if the collected set cannot reach the counted size, which signals
-    a counting/search inconsistency.
+    Raises ``SearchDisagreement`` if the collected set cannot reach the
+    counted size, which signals a counting/search inconsistency.
     """
     _check_backend(backend)
     calls = 0
-    m = m_exact(oracle.index_size) + ENUMERATION_EXTRA_BITS
-    m_hat, estimate = _median_count(oracle, m, rng, backend, ENUMERATION_SAMPLES)
-    calls += ENUMERATION_SAMPLES * ((1 << m) - 1)
     doubled = False
-    if m_hat == 0:
-        return EnumerationResult(frozenset(), estimate, calls, 0, doubled)
-    if m_hat > oracle.index_size / 2:
-        oracle = oracle.doubled()
-        doubled = True
+    while True:
         m = m_exact(oracle.index_size) + ENUMERATION_EXTRA_BITS
         m_hat, estimate = _median_count(oracle, m, rng, backend, ENUMERATION_SAMPLES)
         calls += ENUMERATION_SAMPLES * ((1 << m) - 1)
         if m_hat == 0:
             return EnumerationResult(frozenset(), estimate, calls, 0, doubled)
+        if doubled or m_hat <= oracle.index_size / 2:
+            break
+        oracle = oracle.doubled()
+        doubled = True
 
     iterations = iteration_count(oracle.index_size, m_hat)
     found: set[int] = set()
     runs = 0
-    max_attempts = max(64, max_attempt_factor * m_hat)
+    # A run succeeds with probability p = sin^2((2j+1) theta/2) (Boyer et
+    # al. 1998) and then returns one of the m_hat solutions uniformly, so
+    # after R runs a given solution is still unseen with probability at most
+    # exp(-R p / m_hat). On a correct count this cap bounds the chance that
+    # any of them is by e**-21.
+    p = math.sin((2 * iterations + 1) * grover_angle(oracle.index_size, m_hat) / 2.0) ** 2
+    max_attempts = max(64, math.ceil(m_hat * (math.log(m_hat) + 21) / p))
     while len(found) < m_hat:
         if runs >= max_attempts:
-            raise RuntimeError(
+            raise SearchDisagreement(
                 f"collected {len(found)} of a counted {m_hat} solutions after "
                 f"{runs} searches; counting and search disagree"
             )

@@ -151,3 +151,43 @@ def test_text_output_mode(capsys):
     )
     assert code == 0
     assert "agree: True" in out
+
+
+@pytest.mark.parametrize("command", ["slice", "count"])
+def test_dense_capacity_error_exits_1_with_one_error_line(capsys, command):
+    # the 37-qubit slicing oracle plus a counting register exceeds the dense
+    # cap; that is a capacity error, not a search/counting disagreement
+    code, out, err = run_cli(
+        capsys, command, "--input", FIXTURE, "--return-min", "0.12",
+        "--risk-max", "0.30", "--backend", "dense",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "dense cap" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_only_a_search_disagreement_exits_2(capsys, monkeypatch):
+    import qslice.portfolio
+    from qslice.search import SearchDisagreement
+
+    def disagree(*args, **kwargs):
+        raise SearchDisagreement("collected 1 of a counted 2 solutions")
+
+    monkeypatch.setattr(qslice.portfolio, "enumerate_solutions", disagree)
+    code, out, err = run_cli(
+        capsys, "slice", "--input", FIXTURE, "--return-min", "0.12", "--risk-max", "0.30",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: collected 1 of a counted 2 solutions\n"
+
+
+def test_usage_error_exits_1(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["slice", "--input", FIXTURE])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: the following arguments are required: --return-min, --risk-max"
+    ]

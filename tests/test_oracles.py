@@ -1,7 +1,10 @@
 import math
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qslice import (
     ValueTable,
@@ -13,6 +16,7 @@ from qslice import (
     direct_marking_oracle,
     effective_grover_step,
     effective_state_new,
+    equals,
     greater_than,
     grover_operator,
     index_amplitudes,
@@ -22,6 +26,7 @@ from qslice import (
     subregister_distribution,
     two_list_oracle,
 )
+from qslice.oracles import AllOf, AnyOf
 from qslice.sim import Circuit, h, phase_estimation_circuit
 
 
@@ -225,6 +230,18 @@ def test_condition_oracle_repeated_subtrees():
     assert_marks_match_predicate(oracle)
 
 
+def test_condition_oracle_shared_subtree_inside_a_sibling():
+    # the shared node is read by the root and by its sibling, so it must be
+    # computed before that sibling is combined
+    a = ValueTable(1, (0, 1))
+    b = ValueTable(1, (1, 0))
+    shared = any_of(greater_than(a, 0), less_than(b, 0))
+    cond = all_of(shared, any_of(shared, equals(b, 1)))
+    oracle = condition_oracle(cond)
+    assert oracle.marked_set == frozenset({1})
+    assert_marks_match_predicate(oracle)
+
+
 def test_condition_oracle_nested():
     a = ValueTable(2, (0, 1, 2, 3))
     b = ValueTable(2, (3, 2, 1, 0))
@@ -371,3 +388,78 @@ def test_doubling_pads_with_non_solutions():
     two = two_list_oracle(vt, ValueTable(3, (2, 2, 6, 6)), 2, 4).doubled()
     assert two.marked_set == frozenset({1})
     assert two.num_qubits == 2 * 3 + 4 * 3 + 3
+
+
+def test_compiled_threshold_oracles_are_pinned():
+    # gate and qubit counts at n=3, t=7; they do not depend on the table values
+    r = ValueTable(7, (3, 90, 12, 64, 127, 0, 45, 100))
+    s = ValueTable(7, (20, 5, 110, 64, 33, 90, 1, 77))
+    single = single_list_oracle(r, 50)
+    assert (len(single.circuit), single.num_qubits) == (137, 18)
+    two = two_list_oracle(r, s, 20, 80)
+    assert (len(two.circuit), two.num_qubits) == (351, 37)
+    names = (
+        "index", "index_copy",
+        "return_estimate", "return_threshold", "return_flag",
+        "risk_estimate", "risk_threshold", "risk_flag",
+        "oracle",
+    )
+    assert two.layout.names == names
+    assert tuple(two.layout.to_dict()["registers"]) == names
+
+
+# ---------------------------------------------------------------------------
+# Property: random condition trees
+# ---------------------------------------------------------------------------
+
+WORKSPACE_CAP = 14
+
+
+@st.composite
+def condition_trees(draw):
+    """AND/OR trees of gt/lt/eq atoms over one or two tables, with repeated
+    atoms and subtrees shared at any depth (an internal node may reuse the
+    ones built before it), compiling to at most WORKSPACE_CAP qubits."""
+    n = draw(st.integers(1, 2))
+    t = draw(st.integers(1, 2))
+    value = st.integers(0, (1 << t) - 1)
+    tables = [
+        ValueTable(t, draw(st.lists(value, min_size=1 << n, max_size=1 << n)))
+        for _ in range(draw(st.integers(1, 2)))
+    ]
+    # room for the index, the oracle qubit and two internal-node ancillas
+    max_atoms = (WORKSPACE_CAP - n - 3) // (2 * t + 1)
+    make = st.sampled_from([greater_than, less_than, equals])
+    atoms = [
+        draw(make)(draw(st.sampled_from(tables)), draw(value))
+        for _ in range(draw(st.integers(1, max_atoms)))
+    ]
+    join = st.sampled_from([all_of, any_of])
+    inner = []
+    for _ in range(draw(st.integers(0, 2))):
+        children = draw(st.lists(st.sampled_from(atoms + inner), min_size=2, max_size=3))
+        inner.append(draw(join)(*children))
+    return draw(join)(*draw(st.lists(st.sampled_from(atoms + inner), min_size=2, max_size=3)))
+
+
+def holds(cond, k):
+    """Plain-Python truth of a condition at index k."""
+    if isinstance(cond, AllOf):
+        return all(holds(c, k) for c in cond.children)
+    if isinstance(cond, AnyOf):
+        return any(holds(c, k) for c in cond.children)
+    compare = {"gt": operator.gt, "lt": operator.lt, "eq": operator.eq}[cond.op]
+    return compare(cond.table[k], cond.threshold)
+
+
+@settings(max_examples=200, deadline=None)
+@given(condition_trees())
+def test_condition_tree_oracle_property(cond):
+    oracle = condition_oracle(cond)
+    assert oracle.num_qubits <= WORKSPACE_CAP
+    assert oracle.marked_set == {k for k in range(oracle.index_size) if holds(cond, k)}
+    # one dense Grover step, read through the explicit reference ancilla
+    # state, equals one effective step
+    dense = apply(prepared(oracle), grover_operator(oracle))
+    eff = effective_grover_step(effective_state_new(oracle.index_bits), oracle.marked_set)
+    assert np.max(np.abs(index_amplitudes(dense, oracle) - eff.amplitudes)) < 1e-9

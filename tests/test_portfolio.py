@@ -11,6 +11,8 @@ from qslice import (
     sharpe_values,
     slice_portfolios,
 )
+from qslice.portfolio import count_portfolios
+from qslice.search import counting_distribution
 
 from conftest import FIXTURE_PATH, classical_slice_ids
 
@@ -221,3 +223,47 @@ def test_max_sharpe_rf_validation():
     table = fixture_table()
     with pytest.raises(ValueError):
         max_sharpe(table, 1.0, np.random.default_rng(0), 1)
+
+
+def test_slice_full_selection_collects_every_row_on_every_seed():
+    # A full selection of a power-of-two table is doubled to M = N/2 with no
+    # Grover iterations, so each search succeeds with probability 1/2 only;
+    # the enumeration run cap must allow for that on every search seed.
+    gen = np.random.default_rng(11)
+    rows = [
+        (i, float(gen.uniform(0.05, 0.5)), float(gen.uniform(0.05, 0.9)))
+        for i in range(256)
+    ]
+    table = load_frontier(make_csv(rows), 7)
+    for seed in range(20):
+        result = slice_portfolios(table, 0.0, 0.99, np.random.default_rng(seed))
+        assert result.ids == frozenset(range(256)), seed
+        assert result.enumeration.doubled
+
+
+# ---------------------------------------------------------------------------
+# Counting
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "return_min, risk_max, qubits",
+    [(0.12, 0.30, 37), (0.20, None, 18), (None, 0.15, 18)],
+)
+def test_count_portfolios_picks_the_oracle_for_the_thresholds(return_min, risk_max, qubits):
+    table = fixture_table()
+    t = table.t
+    want = sum(
+        (return_min is None or table.returns[k] > quantize(return_min, t))
+        and (risk_max is None or table.sigmas[k] < quantize(risk_max, t))
+        for k in range(table.size)
+    )
+    result = count_portfolios(table, return_min, risk_max, np.random.default_rng(4))
+    assert result.layout["num_qubits"] == qubits
+    assert not result.doubled
+    assert np.allclose(result.estimate.distribution, counting_distribution(8, want, 4))
+
+
+def test_count_portfolios_needs_a_threshold():
+    with pytest.raises(ValueError):
+        count_portfolios(fixture_table(), None, None, np.random.default_rng(3))

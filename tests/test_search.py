@@ -20,7 +20,9 @@ from qslice import (
     single_list_oracle,
     t_for_resolution,
 )
+from qslice import search
 from qslice.search import (
+    SearchDisagreement,
     closest_integer,
     default_qes_budget,
     estimate_from_outcome,
@@ -273,6 +275,16 @@ def test_enumerate_resolution_critical_counts(seed):
         direct_marking_oracle(3, {0, 5, 6}), np.random.default_rng(seed)
     )
     assert result.indices == frozenset({0, 5, 6})
+
+
+def test_enumerate_overcount_raises_search_disagreement(monkeypatch):
+    # counting reports 3 solutions where 2 exist: the searches stop at the
+    # run cap with the one error the CLI maps to exit code 2
+    real = search._median_count
+    monkeypatch.setattr(search, "_median_count", lambda *a: (3, real(*a)[1]))
+    with pytest.raises(SearchDisagreement, match="collected 2 of a counted 3") as exc:
+        enumerate_solutions(direct_marking_oracle(3, {2, 5}), np.random.default_rng(0))
+    assert isinstance(exc.value, RuntimeError)
 
 
 # ---------------------------------------------------------------------------
