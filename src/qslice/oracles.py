@@ -22,7 +22,7 @@ Two backends realise the Grover iteration:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
@@ -165,6 +165,9 @@ class OracleCircuit:
     description: str = ""
     reference_basis: int = 0
     oracle_qubit: int | None = None
+    #: The effective Grover evolution memoised by ``search``; it holds the
+    #: mask but never the oracle, so the two form no reference cycle.
+    evolution: object = field(default=None, init=False, repr=False)
 
     @property
     def num_qubits(self) -> int:
@@ -193,7 +196,8 @@ class OracleCircuit:
         return Circuit(self.num_qubits, tuple(gates))
 
     @cached_property
-    def _mask(self) -> np.ndarray:
+    def mask(self) -> np.ndarray:
+        """Boolean array over the indices: whether each is marked."""
         if self.index_bits > EFFECTIVE_INDEX_CAP:
             raise ValueError(
                 f"{self.index_bits} index bits exceed the effective-backend cap"
@@ -202,11 +206,11 @@ class OracleCircuit:
 
     def predicate(self, k: int) -> bool:
         """Whether index k is marked."""
-        return bool(self._mask[k])
+        return bool(self.mask[k])
 
     @cached_property
     def marked_set(self) -> frozenset[int]:
-        return frozenset(np.flatnonzero(self._mask).tolist())
+        return frozenset(np.flatnonzero(self.mask).tolist())
 
     def doubled(self) -> "OracleCircuit":
         """The same condition on a doubled index space, upper half sentinel-padded.

@@ -16,7 +16,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
-from typing import TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -80,6 +80,18 @@ def quantize(value: float, t: int) -> int:
     return min(int(math.floor(value * (1 << t) + 0.5)), (1 << t) - 1)
 
 
+def quantize_array(values: Sequence[float] | np.ndarray, t: int) -> list[int]:
+    """``quantize`` of every value, in one pass of the same IEEE arithmetic."""
+    values = np.asarray(values, dtype=float)
+    outside = values[~((values >= 0.0) & (values < 1.0))]
+    if outside.size:
+        raise ValueError(f"value {outside[0]} outside [0, 1)")
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    scale = float(1 << t)
+    return np.minimum(np.floor(values * scale + 0.5), scale - 1.0).astype(np.int64).tolist()
+
+
 _HEADER = ("id", "expected_return", "std_dev")
 
 
@@ -137,8 +149,8 @@ def load_frontier(source: TextIO, t: int) -> FrontierTable:
     padded_n = max(1, math.ceil(math.log2(len(records))))
     size = 1 << padded_n
     sentinel_sigma = (1 << t) - 1
-    ret_vals = [quantize(r.expected_return, t) for r in records]
-    sig_vals = [quantize(r.std_dev, t) for r in records]
+    ret_vals = quantize_array([r.expected_return for r in records], t)
+    sig_vals = quantize_array([r.std_dev for r in records], t)
     ret_vals += [0] * (size - len(records))
     sig_vals += [sentinel_sigma] * (size - len(records))
     return FrontierTable(
@@ -161,21 +173,15 @@ def sharpe_values(table: FrontierTable, risk_free_rate: float) -> ValueTable:
     if not 0.0 <= risk_free_rate < 1.0:
         raise ValueError("risk_free_rate must lie in [0, 1)")
     t = table.t
-    records = table.records
-    bound = (max(r.expected_return for r in records) - risk_free_rate) / min(
-        r.std_dev for r in records
-    )
-    values: list[int] = []
-    clamped = 0
-    for rec in records:
-        raw = (rec.expected_return - risk_free_rate) / rec.std_dev
-        if raw < 0.0:
-            clamped += 1
-            raw = 0.0
-        if bound <= 0.0:
-            values.append(0)
-        else:
-            values.append(quantize(raw / (bound * (1.0 + 2.0**-t)), t))
+    returns = np.array([r.expected_return for r in table.records])
+    sigmas = np.array([r.std_dev for r in table.records])
+    bound = (returns.max() - risk_free_rate) / sigmas.min()
+    raw = (returns - risk_free_rate) / sigmas
+    clamped = int(np.count_nonzero(raw < 0.0))
+    if bound <= 0.0:
+        values = [0] * len(raw)
+    else:
+        values = quantize_array(np.maximum(raw, 0.0) / (bound * (1.0 + 2.0**-t)), t)
     if clamped:
         warnings.warn(
             f"{clamped} portfolio(s) had negative Sharpe ratio and were clamped to 0",
@@ -240,8 +246,13 @@ def max_sharpe(
     if table.is_sentinel(index):
         # sentinels share the quantized value 0; prefer a real row on ties
         index = next(
-            k for k in range(len(table.records)) if values[k] == result.value
+            (k for k in range(len(table.records)) if values[k] == result.value), None
         )
+        if index is None:
+            raise RuntimeError(
+                "adaptive search ended on a padding row that no real row ties; "
+                "rerun with a larger --repeat"
+            )
     rec = table.records[index]
     layout = single_list_oracle(values, values[index]).layout.to_dict()
     return MaxSharpeResult(

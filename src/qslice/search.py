@@ -88,19 +88,71 @@ def _check_backend(backend: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _effective_probabilities(oracle: OracleCircuit, iterations: int) -> np.ndarray:
-    """Index-register probabilities after Grover iterations from |psi>, effectively."""
-    state = effective_state_new(oracle.index_bits)
-    marked = oracle.marked_set
-    for _ in range(iterations):
-        state = effective_grover_step(state, marked)
-    return state.probabilities()
+class _Evolution:
+    """One oracle's effective Grover evolution from |psi>, stepped once, sampled often.
+
+    After j iterations every marked amplitude is the same number, and so is
+    every unmarked one (Boyer, Brassard, Hoyer & Tapp 1998). The furthest
+    state reached is stepped with ``effective_grover_step`` only when a later
+    j is asked for, and each j's (marked, unmarked) pair is recorded, so the
+    probabilities of any j reached rebuild bit for bit what stepping from
+    |psi> gives. The measurement CDF of the last j sampled is kept, so
+    repeated runs at one j cost one binary search each. Everything held is
+    O(N); nothing refers back to the oracle.
+    """
+
+    def __init__(self, mask: np.ndarray, index_bits: int):
+        self.mask = mask
+        self.marked = np.flatnonzero(mask)
+        first_unmarked = int(np.argmin(mask))
+        # one index of each class, None where the class is empty
+        self._probes = (
+            int(self.marked[0]) if self.marked.size else None,
+            None if mask[first_unmarked] else first_unmarked,
+        )
+        self.state = effective_state_new(index_bits)
+        self.pairs: list[tuple[float, float]] = []
+        self._record()
+        self._cdf_iterations = -1
+        self._cdf = np.empty(0)
+
+    def _record(self) -> None:
+        amps = self.state.amplitudes
+        self.pairs.append(tuple(0.0 if k is None else amps[k] for k in self._probes))
+
+    def amplitudes(self, iterations: int) -> tuple[float, float]:
+        """(marked, unmarked) amplitude after ``iterations`` Grover iterations."""
+        while len(self.pairs) <= iterations:
+            self.state = effective_grover_step(self.state, self.marked)
+            self._record()
+        return self.pairs[iterations]
+
+    def probabilities(self, iterations: int) -> np.ndarray:
+        """Index-register probabilities after ``iterations`` Grover iterations."""
+        a_marked, a_unmarked = self.amplitudes(iterations)
+        return np.where(self.mask, a_marked, a_unmarked) ** 2
+
+    def sample(self, iterations: int, rng: np.random.Generator) -> int:
+        """Measure the index register: the draw ``rng.choice(N, p=probs)`` makes."""
+        if iterations != self._cdf_iterations:
+            probs = self.probabilities(iterations)
+            cdf = (probs / probs.sum()).cumsum()
+            cdf /= cdf[-1]
+            self._cdf_iterations, self._cdf = iterations, cdf
+        return int(self._cdf.searchsorted(rng.random(), side="right"))
+
+
+def _evolution(oracle: OracleCircuit) -> _Evolution:
+    if oracle.evolution is None:
+        oracle.evolution = _Evolution(oracle.mask, oracle.index_bits)
+    return oracle.evolution
 
 
 def marked_probability_after(oracle: OracleCircuit, iterations: int) -> float:
     """Effective-backend marked mass after a fixed number of iterations."""
-    probs = _effective_probabilities(oracle, iterations)
-    return float(sum(probs[k] for k in oracle.marked_set))
+    evolution = _evolution(oracle)
+    a_marked, _ = evolution.amplitudes(iterations)
+    return float(evolution.marked.size * a_marked**2)
 
 
 def grover_search(
@@ -122,9 +174,7 @@ def grover_search(
             state = sim.apply(state, op)
         outcome, _ = sim.measure_subregister(state, oracle.layout.index, rng)
         return outcome
-    probs = _effective_probabilities(oracle, iterations)
-    probs = probs / probs.sum()
-    return int(rng.choice(probs.size, p=probs))
+    return _evolution(oracle).sample(iterations, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +603,10 @@ def gas(
         start = j
         calls = 0
         improvements = 0
+        oracle = None
         while calls <= budget:
-            oracle = single_list_oracle(values, values[j], op)
+            if oracle is None:  # a new threshold; otherwise its evolution is reused
+                oracle = single_list_oracle(values, values[j], op)
             if counting_termination:
                 check = quantum_counting(oracle, m_detect(n_space), child, backend)
                 calls += (1 << check.m) - 1
@@ -569,6 +621,7 @@ def gas(
             ):
                 j = outcome.found_index
                 improvements += 1
+                oracle = None
         logs.append(RepetitionLog(start, j, calls, improvements))
         total_calls += calls
         if best_index is None or better(values[j], values[best_index]):

@@ -211,3 +211,24 @@ def test_usage_error_exits_1(capsys):
     assert [line for line in err.splitlines() if line.startswith("error:")] == [
         "error: the following arguments are required: --return-min, --risk-max"
     ]
+
+
+def test_max_sharpe_ending_on_an_untied_padding_row_exits_1(capsys, monkeypatch, tmp_path):
+    import qslice.portfolio
+    from qslice.search import GasResult
+
+    path = tmp_path / "five.csv"
+    path.write_text(
+        "id,expected_return,std_dev\n"
+        + "".join(f"{i},{0.1 + 0.05 * i},0.2\n" for i in range(5))
+    )
+
+    def ends_on_padding(values, *args, **kwargs):
+        return GasResult(7, values[7], 0, [])
+
+    monkeypatch.setattr(qslice.portfolio, "gas", ends_on_padding)
+    code, out, err = run_cli(capsys, "max-sharpe", "--input", str(path), "--repeat", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: adaptive search ended on a padding row")
+    assert len(err.splitlines()) == 1

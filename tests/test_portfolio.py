@@ -11,8 +11,9 @@ from qslice import (
     sharpe_values,
     slice_portfolios,
 )
-from qslice.portfolio import count_portfolios
-from qslice.search import counting_distribution
+from qslice import portfolio
+from qslice.portfolio import count_portfolios, quantize_array
+from qslice.search import GasResult, counting_distribution
 
 from conftest import FIXTURE_PATH, classical_slice_ids
 
@@ -51,6 +52,36 @@ def test_quantize_monotone():
         values = np.sort(rng.random(100) * 0.999)
         quantized = [quantize(float(v), t) for v in values]
         assert all(a <= b for a, b in zip(quantized, quantized[1:]))
+
+
+def _quantize_edges(t):
+    """Values where floor(v 2^t + 1/2) or the clamp changes, and one ulp either side."""
+    scale = 1 << t
+    points = [0.0, 1.0 - 2.0**-(t + 1), 1.0 - 2.0**-(t + 2)]
+    points += [(k + 0.5) / scale for k in range(scale)]
+    points += [(k - 0.5) / scale for k in range(1, scale)]
+    below_one = np.nextafter(1.0, 0.0)
+    out = []
+    for p in points:
+        out += [p, np.nextafter(p, 0.0), np.nextafter(p, 1.0)]
+    out.append(below_one)
+    return [v for v in out if 0.0 <= v < 1.0]
+
+
+@pytest.mark.parametrize("t", range(1, 13))
+def test_quantize_array_equals_scalar_quantize(t):
+    rng = np.random.default_rng(t)
+    values = np.concatenate([rng.random(500), _quantize_edges(t)])
+    assert quantize_array(values, t) == [quantize(float(v), t) for v in values]
+
+
+def test_quantize_array_validates_like_quantize():
+    with pytest.raises(ValueError):
+        quantize_array([0.5, 1.0], 3)
+    with pytest.raises(ValueError):
+        quantize_array([-0.1], 3)
+    with pytest.raises(ValueError):
+        quantize_array([0.5], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +248,20 @@ def test_max_sharpe_tie_stable():
     ids = {max_sharpe(table, 0.0, np.random.default_rng(9), 3).id for _ in range(3)}
     assert len(ids) == 1  # same seed, same winner
     assert ids.pop() in (0, 1)
+
+
+def test_max_sharpe_padding_row_without_a_tie_is_an_error(monkeypatch):
+    # five rows pad to eight; no real row quantizes to the padding value 0
+    table = load_frontier(make_csv([(i, 0.1 + 0.05 * i, 0.2) for i in range(5)]), 7)
+    values = sharpe_values(table, 0.0)
+    assert min(values[k] for k in range(5)) > 0
+
+    def ends_on_padding(values, *args, **kwargs):
+        return GasResult(7, values[7], 0, [])
+
+    monkeypatch.setattr(portfolio, "gas", ends_on_padding)
+    with pytest.raises(RuntimeError, match="padding row"):
+        max_sharpe(table, 0.0, np.random.default_rng(0), 1)
 
 
 def test_max_sharpe_rf_validation():

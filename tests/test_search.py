@@ -1,7 +1,11 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qslice import (
     ANGLE_BITS,
@@ -10,6 +14,8 @@ from qslice import (
     counting_register,
     delta_m_bound,
     direct_marking_oracle,
+    effective_grover_step,
+    effective_state_new,
     enumerate_solutions,
     gas,
     grover_angle,
@@ -21,6 +27,7 @@ from qslice import (
     quantum_counting,
     single_list_oracle,
     t_for_resolution,
+    two_list_oracle,
 )
 from qslice import search
 from qslice.search import (
@@ -317,6 +324,161 @@ def test_enumerate_overcount_raises_search_disagreement(monkeypatch):
     with pytest.raises(SearchDisagreement, match="collected 2 of a counted 3") as exc:
         enumerate_solutions(direct_marking_oracle(3, {2, 5}), np.random.default_rng(0))
     assert isinstance(exc.value, RuntimeError)
+
+
+@st.composite
+def tables_and_thresholds(draw):
+    """A random single-list table with a gt or lt threshold, up to 64 entries."""
+    n = draw(st.integers(1, 6))
+    t = draw(st.integers(1, 4))
+    value = st.integers(0, (1 << t) - 1)
+    table = ValueTable(t, draw(st.lists(value, min_size=1 << n, max_size=1 << n)))
+    return table, draw(st.sampled_from(["gt", "lt"])), draw(value)
+
+
+def classical_ids(table, op, threshold):
+    compare = np.greater if op == "gt" else np.less
+    return frozenset(np.flatnonzero(compare(np.asarray(table.values), threshold)).tolist())
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables_and_thresholds(), st.integers(0, 2**32 - 1))
+def test_enumerate_without_solutions_property(case, seed):
+    table, op, _ = case
+    # a threshold at the table's extreme marks nothing
+    threshold = max(table.values) if op == "gt" else min(table.values)
+    result = enumerate_solutions(
+        single_list_oracle(table, threshold, op), np.random.default_rng(seed)
+    )
+    assert result.indices == classical_ids(table, op, threshold) == frozenset()
+    assert result.grover_runs == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables_and_thresholds(), st.integers(0, 2**32 - 1))
+def test_enumerate_over_half_marked_property(case, seed):
+    table, op, threshold = case
+    want = classical_ids(table, op, threshold)
+    assume(len(want) > table.size / 2)
+    result = enumerate_solutions(
+        single_list_oracle(table, threshold, op), np.random.default_rng(seed)
+    )
+    assert result.indices == want
+    assert result.doubled
+
+
+@st.composite
+def two_lists_over_half_marked(draw):
+    """Return and risk tables with thresholds that more than half the rows pass."""
+    n = draw(st.integers(1, 6))
+    t = draw(st.integers(1, 4))
+    top = (1 << t) - 1
+    s1 = draw(st.integers(0, top - 1))
+    s2 = draw(st.integers(1, top))
+    size = 1 << n
+    passing = set(draw(st.permutations(range(size)))[: draw(st.integers(size // 2 + 1, size))])
+    returns, sigmas = [], []
+    for k in range(size):
+        if k in passing:
+            returns.append(draw(st.integers(s1 + 1, top)))
+            sigmas.append(draw(st.integers(0, s2 - 1)))
+        elif draw(st.booleans()):  # fails on return
+            returns.append(draw(st.integers(0, s1)))
+            sigmas.append(draw(st.integers(0, top)))
+        else:  # fails on risk
+            returns.append(draw(st.integers(0, top)))
+            sigmas.append(draw(st.integers(s2, top)))
+    return ValueTable(t, returns), ValueTable(t, sigmas), s1, s2
+
+
+@settings(max_examples=50, deadline=None)
+@given(two_lists_over_half_marked(), st.integers(0, 2**32 - 1))
+def test_enumerate_two_list_over_half_marked_property(case, seed):
+    returns, sigmas, s1, s2 = case
+    want = classical_ids(returns, "gt", s1) & classical_ids(sigmas, "lt", s2)
+    assert len(want) > returns.size / 2
+    result = enumerate_solutions(
+        two_list_oracle(returns, sigmas, s1, s2), np.random.default_rng(seed)
+    )
+    assert result.indices == want
+    assert result.doubled
+
+
+# ---------------------------------------------------------------------------
+# The effective evolution cache against the full-vector reference
+# ---------------------------------------------------------------------------
+
+#: Iteration counts that rise, repeat and fall.
+STREAM_ITERATIONS = (0, 1, 1, 3, 2, 6, 6, 6, 0, 9, 4, 9, 12, 5, 5)
+
+
+def reference_probabilities(oracle, iterations):
+    """Index probabilities from stepping the whole vector from |psi>, every time."""
+    state = effective_state_new(oracle.index_bits)
+    for _ in range(iterations):
+        state = effective_grover_step(state, oracle.marked_set)
+    return state.probabilities()
+
+
+def stream_oracles():
+    gen = np.random.default_rng(2024)
+    table = ValueTable(4, gen.integers(0, 16, 32).tolist())
+    other = ValueTable(4, gen.integers(0, 16, 32).tolist())
+    low = int(np.sort(table.values)[8])
+    return {
+        "random": lambda: single_list_oracle(table, 9, "gt"),
+        "none marked": lambda: single_list_oracle(table, 15, "gt"),
+        "all marked": lambda: direct_marking_oracle(4, range(16)),
+        "over half": lambda: single_list_oracle(table, low, "gt"),
+        "two-list": lambda: two_list_oracle(table, other, 4, 12),
+        "random doubled": lambda: single_list_oracle(table, 9, "gt").doubled(),
+        "over half doubled": lambda: single_list_oracle(table, low, "gt").doubled(),
+        "all marked doubled": lambda: direct_marking_oracle(4, range(16)).doubled(),
+    }
+
+
+@pytest.mark.parametrize("name", list(stream_oracles()))
+def test_grover_search_draws_what_choice_draws_on_the_reference(name):
+    oracle = stream_oracles()[name]()
+    ours, theirs = np.random.default_rng(77), np.random.default_rng(77)
+    for _ in range(3):  # rising, repeated and falling counts, several passes
+        for j in STREAM_ITERATIONS:
+            probs = reference_probabilities(oracle, j)
+            want = int(theirs.choice(probs.size, p=probs / probs.sum()))
+            assert grover_search(oracle, j, ours) == want, (name, j)
+            assert np.array_equal(oracle.evolution.probabilities(j), probs)  # bit for bit
+            assert ours.bit_generator.state == theirs.bit_generator.state
+            p_marked = float(sum(probs[k] for k in oracle.marked_set))
+            assert abs(marked_probability_after(oracle, j) - p_marked) < 1e-12
+
+
+def test_effective_steps_per_oracle_stop_at_the_largest_count(monkeypatch):
+    steps = []
+
+    def counting_step(state, marked):
+        steps.append(state.size)
+        return effective_grover_step(state, marked)
+
+    monkeypatch.setattr(search, "effective_grover_step", counting_step)
+    oracle = single_list_oracle(ValueTable(3, (1, 5, 3, 7, 0, 2, 6, 4)), 5, "gt")
+    rng = np.random.default_rng(3)
+    for j in STREAM_ITERATIONS:
+        grover_search(oracle, j, rng)
+    marked_probability_after(oracle, 7)
+    assert len(steps) == max(STREAM_ITERATIONS)
+
+
+def test_evolution_cache_holds_no_reference_to_its_oracle():
+    oracle = single_list_oracle(ValueTable(3, (1, 5, 3, 7, 0, 2, 6, 4)), 5, "gt")
+    grover_search(oracle, 2, np.random.default_rng(0))
+    assert oracle.evolution is not None
+    alive = weakref.ref(oracle)
+    gc.disable()
+    try:
+        del oracle
+        assert alive() is None  # freed by reference counting alone: no cycle
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
