@@ -165,9 +165,11 @@ class OracleCircuit:
     description: str = ""
     reference_basis: int = 0
     oracle_qubit: int | None = None
-    #: The effective Grover evolution memoised by ``search``; it holds the
-    #: mask but never the oracle, so the two form no reference cycle.
+    #: The effective and dense Grover evolutions memoised by ``search``; they
+    #: hold the mask, or the Grover operator and a workspace state, but never
+    #: the oracle, so neither forms a reference cycle with it.
     evolution: object = field(default=None, init=False, repr=False)
+    dense_evolution: object = field(default=None, init=False, repr=False)
 
     @property
     def num_qubits(self) -> int:

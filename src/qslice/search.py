@@ -6,6 +6,16 @@ The searches run on either backend:
 * ``effective`` evolves index amplitudes only (exact for these oracles) and
   scales to list sizes far beyond dense reach.
 
+Each oracle memoises its Grover evolution on either backend (``_Evolution``):
+the furthest state G^j|psi> is stepped only when a larger j is asked for,
+and each j reached keeps a record that rebuilds its index-register
+probabilities bit for bit, so a search draws exactly what simulating from
+|psi> would, and repeated searches at one j cost one binary search each.
+Dense counting steps the same operator: its register starts in |+>^m and
+only controls powers of G until the inverse QFT, so the joint state is
+sum_c |c> G^c|psi> / 2^(m/2), built row by row from 2^m - 1 steps on the
+workspace alone.
+
 Sampling is deterministic for a given ``numpy.random.Generator``; independent
 repetitions derive child generators by spawning, so runs are reproducible
 from a single master seed.
@@ -89,16 +99,59 @@ def _check_backend(backend: str) -> None:
 
 
 class _Evolution:
-    """One oracle's effective Grover evolution from |psi>, stepped once, sampled often.
+    """One oracle's Grover evolution from |psi>, stepped once, sampled often.
+
+    The furthest state reached is stepped only when a later j is asked for,
+    and each j reached keeps a record from which its index-register
+    probabilities are rebuilt bit for bit, so an oracle takes at most max-j
+    steps in all. The measurement CDF of the last j sampled is kept, so
+    repeated runs at one j cost one binary search each. Subclasses give the
+    state, the step and the record; nothing held refers back to the oracle.
+    """
+
+    def __init__(self, state):
+        self.state = state
+        self.records = [self._record(state)]
+        self._cdf_iterations = -1
+        self._cdf = np.empty(0)
+
+    def step(self, state):
+        """One Grover iteration."""
+        raise NotImplementedError
+
+    def _record(self, state):
+        raise NotImplementedError
+
+    def probabilities(self, iterations: int) -> np.ndarray:
+        """Index-register probabilities after ``iterations`` Grover iterations."""
+        raise NotImplementedError
+
+    def record(self, iterations: int):
+        """The record of the state after ``iterations`` Grover iterations."""
+        while len(self.records) <= iterations:
+            self.state = self.step(self.state)
+            self.records.append(self._record(self.state))
+        return self.records[iterations]
+
+    def sample(self, iterations: int, rng: np.random.Generator) -> int:
+        """Measure the index register: the draw ``rng.choice(N, p=probs)`` makes."""
+        if iterations != self._cdf_iterations:
+            probs = self.probabilities(iterations)
+            total = probs.sum()
+            if total < 1e-12:
+                raise RuntimeError("register marginal is numerically zero")
+            cdf = (probs / total).cumsum()
+            cdf /= cdf[-1]
+            self._cdf_iterations, self._cdf = iterations, cdf
+        return int(self._cdf.searchsorted(rng.random(), side="right"))
+
+
+class _EffectiveEvolution(_Evolution):
+    """The index amplitudes alone, recorded as one (marked, unmarked) pair per j.
 
     After j iterations every marked amplitude is the same number, and so is
-    every unmarked one (Boyer, Brassard, Hoyer & Tapp 1998). The furthest
-    state reached is stepped with ``effective_grover_step`` only when a later
-    j is asked for, and each j's (marked, unmarked) pair is recorded, so the
-    probabilities of any j reached rebuild bit for bit what stepping from
-    |psi> gives. The measurement CDF of the last j sampled is kept, so
-    repeated runs at one j cost one binary search each. Everything held is
-    O(N); nothing refers back to the oracle.
+    every unmarked one (Boyer, Brassard, Hoyer & Tapp 1998), so the pair
+    rebuilds the whole vector. Everything held is O(N).
     """
 
     def __init__(self, mask: np.ndarray, index_bits: int):
@@ -110,48 +163,62 @@ class _Evolution:
             int(self.marked[0]) if self.marked.size else None,
             None if mask[first_unmarked] else first_unmarked,
         )
-        self.state = effective_state_new(index_bits)
-        self.pairs: list[tuple[float, float]] = []
-        self._record()
-        self._cdf_iterations = -1
-        self._cdf = np.empty(0)
+        super().__init__(effective_state_new(index_bits))
 
-    def _record(self) -> None:
-        amps = self.state.amplitudes
-        self.pairs.append(tuple(0.0 if k is None else amps[k] for k in self._probes))
+    def step(self, state):
+        return effective_grover_step(state, self.marked)
 
-    def amplitudes(self, iterations: int) -> tuple[float, float]:
-        """(marked, unmarked) amplitude after ``iterations`` Grover iterations."""
-        while len(self.pairs) <= iterations:
-            self.state = effective_grover_step(self.state, self.marked)
-            self._record()
-        return self.pairs[iterations]
+    def _record(self, state) -> tuple[float, float]:
+        """The (marked, unmarked) amplitude pair."""
+        amps = state.amplitudes
+        return tuple(0.0 if k is None else amps[k] for k in self._probes)
 
     def probabilities(self, iterations: int) -> np.ndarray:
-        """Index-register probabilities after ``iterations`` Grover iterations."""
-        a_marked, a_unmarked = self.amplitudes(iterations)
+        a_marked, a_unmarked = self.record(iterations)
         return np.where(self.mask, a_marked, a_unmarked) ** 2
 
-    def sample(self, iterations: int, rng: np.random.Generator) -> int:
-        """Measure the index register: the draw ``rng.choice(N, p=probs)`` makes."""
-        if iterations != self._cdf_iterations:
-            probs = self.probabilities(iterations)
-            cdf = (probs / probs.sum()).cumsum()
-            cdf /= cdf[-1]
-            self._cdf_iterations, self._cdf = iterations, cdf
-        return int(self._cdf.searchsorted(rng.random(), side="right"))
+
+class _DenseEvolution(_Evolution):
+    """The whole workspace statevector, recorded as its index marginal per j.
+
+    The Grover operator is built once. Only the furthest state is kept,
+    with one 2^n marginal per j reached.
+    """
+
+    def __init__(self, oracle: OracleCircuit):
+        self.operator = grover_operator(oracle)
+        self.index = oracle.layout.index
+        super().__init__(_prepared_state(oracle))
+
+    def step(self, state: sim.StateVector) -> sim.StateVector:
+        return sim.apply(state, self.operator)
+
+    def _record(self, state: sim.StateVector) -> np.ndarray:
+        return sim.subregister_distribution(state, self.index)
+
+    def probabilities(self, iterations: int) -> np.ndarray:
+        return self.record(iterations)
 
 
-def _evolution(oracle: OracleCircuit) -> _Evolution:
+def _prepared_state(oracle: OracleCircuit) -> sim.StateVector:
+    """|psi>: the oracle's prepared workspace."""
+    return sim.apply(sim.new_basis_state(oracle.num_qubits, 0), oracle.prep_circuit)
+
+
+def _evolution(oracle: OracleCircuit, backend: str = "effective") -> _Evolution:
+    if backend == "dense":
+        if oracle.dense_evolution is None:
+            oracle.dense_evolution = _DenseEvolution(oracle)
+        return oracle.dense_evolution
     if oracle.evolution is None:
-        oracle.evolution = _Evolution(oracle.mask, oracle.index_bits)
+        oracle.evolution = _EffectiveEvolution(oracle.mask, oracle.index_bits)
     return oracle.evolution
 
 
 def marked_probability_after(oracle: OracleCircuit, iterations: int) -> float:
     """Effective-backend marked mass after a fixed number of iterations."""
     evolution = _evolution(oracle)
-    a_marked, _ = evolution.amplitudes(iterations)
+    a_marked, _ = evolution.record(iterations)
     return float(evolution.marked.size * a_marked**2)
 
 
@@ -165,16 +232,7 @@ def grover_search(
     _check_backend(backend)
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
-    if backend == "dense":
-        state = sim.apply(
-            sim.new_basis_state(oracle.num_qubits, 0), oracle.prep_circuit
-        )
-        op = grover_operator(oracle)
-        for _ in range(iterations):
-            state = sim.apply(state, op)
-        outcome, _ = sim.measure_subregister(state, oracle.layout.index, rng)
-        return outcome
-    return _evolution(oracle).sample(iterations, rng)
+    return _evolution(oracle, backend).sample(iterations, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +451,10 @@ def quantum_counting(
     """Phase-estimate the Grover operator to count solutions.
 
     Returns the exact outcome distribution together with one seeded sample.
-    On the dense backend the controlled Grover operator is lifted over the
-    whole oracle workspace; on the effective backend the distribution follows
-    from the two eigenphases directly.
+    On the dense backend the register's branches G^c|psi> are stepped on the
+    oracle workspace and the inverse QFT runs over register and workspace;
+    on the effective backend the distribution follows from the two
+    eigenphases directly.
     """
     _check_backend(backend)
     if m < 1:
@@ -427,16 +486,29 @@ def _dense_counting_distribution(oracle: OracleCircuit, m: int) -> np.ndarray:
             f"counting needs {nq} qubits, above the dense cap {sim.DENSE_QUBIT_CAP}"
         )
     counting = list(range(work, nq))
-    gates = list(sim.remap(oracle.prep_circuit, {}, nq).gates)
-    gates.extend(sim.h(c) for c in counting)
-    op = grover_operator(oracle)
-    for j, cq in enumerate(counting):
-        lifted = sim.remap(sim.controlled(op, {cq}), {}, nq)
-        for _ in range(1 << j):
-            gates.extend(lifted.gates)
-    gates.extend(sim.inverse_qft_circuit(counting, nq).gates)
-    state = sim.apply(sim.new_basis_state(nq, 0), sim.Circuit(nq, tuple(gates)))
+    joint = sim.StateVector(nq, _counting_branches(oracle, m).reshape(-1))
+    # in place: the branch buffer is the only joint-sized state held
+    state = sim.apply(joint, sim.inverse_qft_circuit(counting, nq), in_place=True)
     return sim.subregister_distribution(state, counting)
+
+
+def _counting_branches(oracle: OracleCircuit, m: int) -> np.ndarray:
+    """The counting register and workspace before the inverse QFT, as (2^m, 2^w) rows.
+
+    The register starts in |+>^m and only controls G^(2^j) until the
+    inverse QFT, so the joint state is sum_c |c> G^c|psi> / 2^(m/2). The
+    register is the top m qubits, so row c is branch c: G stepped c times
+    on the workspace alone, 2^m - 1 steps in all.
+    """
+    evolution = _evolution(oracle, "dense")
+    state = _prepared_state(oracle)
+    branches = np.empty((1 << m, state.amplitudes.size), dtype=np.complex128)
+    branches[0] = state.amplitudes
+    for c in range(1, 1 << m):
+        state = evolution.step(state)
+        branches[c] = state.amplitudes
+    branches *= 2.0 ** (-0.5 * m)
+    return branches
 
 
 # ---------------------------------------------------------------------------

@@ -262,7 +262,9 @@ def _controlled_view(tensor: np.ndarray, num_qubits: int, controls: Sequence[int
     index: list = [slice(None)] * num_qubits
     for c in controls:
         index[num_qubits - 1 - c] = 1
-    view = tensor[tuple(index)]
+    # the trailing Ellipsis keeps a 0-d array view, not a scalar, when the
+    # controls cover every qubit
+    view = tensor[(*index, Ellipsis)]
     control_axes = sorted(num_qubits - 1 - c for c in controls)
 
     def axis(qubit: int) -> int:
@@ -311,13 +313,18 @@ def _apply_gate(tensor: np.ndarray, num_qubits: int, gate: Gate) -> None:
             view[tuple(sel)] *= factors[value]
 
 
-def apply(state: StateVector, circuit: Circuit) -> StateVector:
-    """Apply every gate in order; returns a new, norm-checked state."""
+def apply(state: StateVector, circuit: Circuit, in_place: bool = False) -> StateVector:
+    """Apply every gate in order; returns a norm-checked state.
+
+    The gates act on a copy of the amplitudes, or with ``in_place`` on
+    ``state``'s own array, which the result then shares: one state-sized
+    array fewer when the input is not needed again.
+    """
     if circuit.num_qubits != state.num_qubits:
         raise ValueError(
             f"circuit has {circuit.num_qubits} qubits, state has {state.num_qubits}"
         )
-    amps = state.amplitudes.copy()
+    amps = state.amplitudes if in_place else state.amplitudes.copy()
     tensor = amps.reshape((2,) * state.num_qubits)
     for gate in circuit.gates:
         _apply_gate(tensor, state.num_qubits, gate)

@@ -1,12 +1,13 @@
-"""Golden stdout of the effective-backend CLI, which pins its random streams.
+"""Golden stdout of the CLI on both backends, which pins their random streams.
 
 Every case runs ``qslice slice | max-sharpe | count`` in process and compares
-stdout byte for byte with ``golden_stdout.json``. The cases cover
+stdout byte for byte with ``golden_stdout.json``. The effective cases cover
 ``fixtures/frontier8.csv`` and a 1000-row frontier generated here from a
-fixed seed, each at three CLI seeds. A change that alters which numbers a
-search draws, which index it measures or how many oracle calls it charges
-fails here; such a change must be deliberate, stated in CHANGES.md, and the
-goldens rewritten with ``PYTHONPATH=src python tests/test_golden.py --write``.
+fixed seed, the dense cases the fixture at ``--resolution 0.1``; each runs at
+three CLI seeds. A change that alters which numbers a search draws, which
+index it measures or how many oracle calls it charges fails here; such a
+change must be deliberate, stated in CHANGES.md, and the goldens rewritten
+with ``PYTHONPATH=src python tests/test_golden.py --write``.
 """
 
 from __future__ import annotations
@@ -48,6 +49,20 @@ COMMANDS = {
     },
 }
 
+DENSE = ("--resolution", "0.1", "--backend", "dense")
+
+#: The dense cases, keyed like ``COMMANDS``. Three of the eight rows have
+#: risk below 0.2, a count the paper-width register cannot round exactly;
+#: all eight have risk below 0.99, so that count is repeated doubled.
+DENSE_COMMANDS = {
+    "frontier8": {
+        "dense max-sharpe": ("max-sharpe", "--repeat", "2", *DENSE),
+        "dense count-exact": ("count", "--risk-max", "0.2", "--mode", "exact", *DENSE),
+        "dense count-detect": ("count", "--risk-max", "0.2", "--mode", "detect", *DENSE),
+        "dense count-wide": ("count", "--risk-max", "0.99", *DENSE),
+    },
+}
+
 
 def write_big_frontier(path: Path) -> None:
     """A seeded frontier-like CSV: risk uniform, return growing with its square root."""
@@ -59,11 +74,16 @@ def write_big_frontier(path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def cases():
-    for frontier, commands in COMMANDS.items():
-        for label, command in commands.items():
-            for seed in SEEDS:
-                yield f"{frontier} {label} seed={seed}", frontier, command, seed
+def cases(tables=(COMMANDS, DENSE_COMMANDS)):
+    for table in tables:
+        for frontier, commands in table.items():
+            for label, command in commands.items():
+                for seed in SEEDS:
+                    yield f"{frontier} {label} seed={seed}", frontier, command, seed
+
+
+EFFECTIVE_CASES = list(cases((COMMANDS,)))
+DENSE_CASES = list(cases((DENSE_COMMANDS,)))
 
 
 def run_case(frontier: str, command: tuple, seed: int, paths: dict) -> str:
@@ -92,8 +112,17 @@ def test_golden_covers_every_case(golden):
     assert sorted(golden) == sorted(name for name, *_ in cases())
 
 
-@pytest.mark.parametrize("name,frontier,command,seed", list(cases()), ids=[c[0] for c in cases()])
+@pytest.mark.parametrize(
+    "name,frontier,command,seed", EFFECTIVE_CASES, ids=[c[0] for c in EFFECTIVE_CASES]
+)
 def test_effective_stdout_matches_golden(name, frontier, command, seed, paths, golden):
+    assert run_case(frontier, command, seed, paths) == golden[name]
+
+
+@pytest.mark.parametrize(
+    "name,frontier,command,seed", DENSE_CASES, ids=[c[0] for c in DENSE_CASES]
+)
+def test_dense_stdout_matches_golden(name, frontier, command, seed, paths, golden):
     assert run_case(frontier, command, seed, paths) == golden[name]
 
 

@@ -19,6 +19,7 @@ from qslice import (
     enumerate_solutions,
     gas,
     grover_angle,
+    grover_operator,
     grover_plan,
     grover_search,
     iteration_count,
@@ -29,7 +30,7 @@ from qslice import (
     t_for_resolution,
     two_list_oracle,
 )
-from qslice import search
+from qslice import search, sim
 from qslice.search import (
     SearchDisagreement,
     closest_integer,
@@ -468,10 +469,11 @@ def test_effective_steps_per_oracle_stop_at_the_largest_count(monkeypatch):
     assert len(steps) == max(STREAM_ITERATIONS)
 
 
-def test_evolution_cache_holds_no_reference_to_its_oracle():
+@pytest.mark.parametrize("backend", ["dense", "effective"])
+def test_evolution_cache_holds_no_reference_to_its_oracle(backend):
     oracle = single_list_oracle(ValueTable(3, (1, 5, 3, 7, 0, 2, 6, 4)), 5, "gt")
-    grover_search(oracle, 2, np.random.default_rng(0))
-    assert oracle.evolution is not None
+    grover_search(oracle, 2, np.random.default_rng(0), backend)
+    assert (oracle.dense_evolution if backend == "dense" else oracle.evolution) is not None
     alive = weakref.ref(oracle)
     gc.disable()
     try:
@@ -479,6 +481,107 @@ def test_evolution_cache_holds_no_reference_to_its_oracle():
         assert alive() is None  # freed by reference counting alone: no cycle
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# The dense evolution cache against simulating from |0> every run
+# ---------------------------------------------------------------------------
+
+
+def dense_search_from_scratch(oracle, iterations, rng):
+    """Prepare from |0>, apply a freshly built Grover operator j times, measure."""
+    state = sim.apply(sim.new_basis_state(oracle.num_qubits, 0), oracle.prep_circuit)
+    op = grover_operator(oracle)
+    for _ in range(iterations):
+        state = sim.apply(state, op)
+    outcome, _ = sim.measure_subregister(state, oracle.layout.index, rng)
+    return outcome
+
+
+def dense_stream_oracles():
+    table = ValueTable(2, (1, 3, 0, 2, 3, 1, 2, 0))
+    return {
+        "single-list": lambda: single_list_oracle(table, 1, "gt"),
+        "over half": lambda: single_list_oracle(table, 0, "gt"),
+        "direct marking": lambda: direct_marking_oracle(3, (2, 5, 6)),
+        "single-list doubled": lambda: single_list_oracle(table, 1, "gt").doubled(),
+        "direct marking doubled": lambda: direct_marking_oracle(3, (2, 5, 6)).doubled(),
+    }
+
+
+@pytest.mark.parametrize("name", list(dense_stream_oracles()))
+def test_dense_grover_search_draws_what_simulating_from_scratch_draws(name):
+    oracle = dense_stream_oracles()[name]()
+    ours, theirs = np.random.default_rng(78), np.random.default_rng(78)
+    for _ in range(2):  # rising, repeated and falling counts, several passes
+        for j in STREAM_ITERATIONS:
+            want = dense_search_from_scratch(oracle, j, theirs)
+            assert grover_search(oracle, j, ours, "dense") == want, (name, j)
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_dense_search_builds_one_operator_and_steps_to_the_largest_count(monkeypatch):
+    builds, applied = [], []
+    build, apply = search.grover_operator, sim.apply
+    monkeypatch.setattr(search, "grover_operator", lambda o: builds.append(1) or build(o))
+    monkeypatch.setattr(
+        sim, "apply", lambda state, c, **kw: applied.append(c) or apply(state, c, **kw)
+    )
+    oracle = single_list_oracle(ValueTable(3, (1, 5, 3, 7, 0, 2, 6, 4)), 5, "gt")
+    rng = np.random.default_rng(3)
+    for j in STREAM_ITERATIONS:
+        grover_search(oracle, j, rng, "dense")
+    assert len(builds) == 1
+    op = oracle.dense_evolution.operator
+    assert sum(c is op for c in applied) == max(STREAM_ITERATIONS)
+    assert len(applied) == max(STREAM_ITERATIONS) + 1  # and one preparation
+
+
+def lifted_counting_distribution(oracle, m):
+    """Counting as one circuit: controlled(G)^(2^j) per register qubit over all w + m qubits."""
+    work = oracle.num_qubits
+    nq = work + m
+    counting = list(range(work, nq))
+    gates = list(sim.remap(oracle.prep_circuit, {}, nq).gates)
+    gates.extend(sim.h(c) for c in counting)
+    op = grover_operator(oracle)
+    for j, cq in enumerate(counting):
+        lifted = sim.remap(sim.controlled(op, {cq}), {}, nq)
+        for _ in range(1 << j):
+            gates.extend(lifted.gates)
+    gates.extend(sim.inverse_qft_circuit(counting, nq).gates)
+    state = sim.apply(sim.new_basis_state(nq, 0), sim.Circuit(nq, tuple(gates)))
+    return sim.subregister_distribution(state, counting)
+
+
+def counting_oracles(seed):
+    gen = np.random.default_rng(seed)
+    table = ValueTable(2, gen.integers(0, 4, 4).tolist())
+    single = single_list_oracle(table, int(gen.integers(0, 4)), "gt")
+    marked = gen.choice(8, size=int(gen.integers(0, 9)), replace=False).tolist()
+    return {
+        "single-list": single,
+        "direct marking": direct_marking_oracle(3, marked),
+        "single-list doubled": single.doubled(),
+        "direct marking doubled": direct_marking_oracle(3, marked).doubled(),
+    }
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_dense_counting_matches_the_lifted_circuit(m, monkeypatch):
+    applied = []
+    apply = sim.apply
+    monkeypatch.setattr(
+        sim, "apply", lambda state, c, **kw: applied.append(c) or apply(state, c, **kw)
+    )
+    for seed in range(3):
+        for name, oracle in counting_oracles(seed).items():
+            applied.clear()
+            got = quantum_counting(oracle, m, np.random.default_rng(0), "dense").distribution
+            op = oracle.dense_evolution.operator
+            assert sum(c is op for c in applied) == (1 << m) - 1, name
+            want = lifted_counting_distribution(oracle, m)
+            assert np.max(np.abs(got - want)) < 1e-12, (name, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,9 @@ from qslice import (
     subregister_distribution,
     unitary,
     x,
+    z,
 )
-from qslice.sim import Gate
+from qslice.sim import Gate, StateVector
 
 from conftest import run_basis
 
@@ -73,6 +74,17 @@ def test_apply_examples():
     out = apply(new_basis_state(1, 0), Circuit(1, (h(0),)))
     assert np.allclose(out.amplitudes, [1 / math.sqrt(2)] * 2)
     assert run_basis(Circuit(2, (x(0),)), 0b00) == 0b01  # qubit 0 least significant
+
+
+def test_apply_in_place_shares_the_input_array():
+    rng = np.random.default_rng(4)
+    circ = _random_circuit(rng, 4, 20)
+    state = apply(new_basis_state(4, 0), Circuit(4, tuple(h(q) for q in range(4))))
+    want = apply(state, circ)
+    before = state.amplitudes
+    got = apply(state, circ, in_place=True)
+    assert got.amplitudes is before
+    assert np.array_equal(got.amplitudes, want.amplitudes)
 
 
 def test_apply_qubit_mismatch():
@@ -277,6 +289,27 @@ def test_controlled_toffoli_truth_table():
     for i in range(8):
         want = i ^ 1 if (i & 2 and i & 4) else i
         assert run_basis(ccx, i) == want
+
+
+def _random_state(rng, num_qubits):
+    amps = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
+    return StateVector(num_qubits, amps / np.linalg.norm(amps))
+
+
+def test_global_phase_controlled_on_every_qubit():
+    # controls covering every qubit leave a 0-d view of the state to scale
+    rng = np.random.default_rng(5)
+    cases = (
+        (controlled(Circuit(1, (phase((), (0.5,)),)), {0}), Circuit(1, (z(0),))),
+        (Circuit(2, (phase((), (0.5,), controls={0, 1}),)), Circuit(2, (z(1, {0}),))),
+    )
+    for got, want in cases:
+        n = got.num_qubits
+        plus = apply(new_basis_state(n, 0), Circuit(n, tuple(h(q) for q in range(n))))
+        for state in (plus, _random_state(rng, n)):
+            assert np.allclose(
+                apply(state, got).amplitudes, apply(state, want).amplitudes, atol=1e-12
+            )
 
 
 def test_controlled_overlap_rejected():
