@@ -4,7 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qslice import (
@@ -355,12 +355,31 @@ def test_enumerate_without_solutions_property(case, seed):
     assert result.grover_runs == 0
 
 
+@st.composite
+def tables_over_half_marked(draw):
+    """A single-list table with a gt or lt threshold that more than half the entries pass."""
+    n = draw(st.integers(1, 6))
+    t = draw(st.integers(1, 4))
+    top = (1 << t) - 1
+    op = draw(st.sampled_from(["gt", "lt"]))
+    if op == "gt":
+        threshold = draw(st.integers(0, top - 1))
+        passes, fails = st.integers(threshold + 1, top), st.integers(0, threshold)
+    else:
+        threshold = draw(st.integers(1, top))
+        passes, fails = st.integers(0, threshold - 1), st.integers(threshold, top)
+    size = 1 << n
+    passing = set(draw(st.permutations(range(size)))[: draw(st.integers(size // 2 + 1, size))])
+    values = [draw(passes if k in passing else fails) for k in range(size)]
+    return ValueTable(t, values), op, threshold
+
+
 @settings(max_examples=100, deadline=None)
-@given(tables_and_thresholds(), st.integers(0, 2**32 - 1))
+@given(tables_over_half_marked(), st.integers(0, 2**32 - 1))
 def test_enumerate_over_half_marked_property(case, seed):
     table, op, threshold = case
     want = classical_ids(table, op, threshold)
-    assume(len(want) > table.size / 2)
+    assert len(want) > table.size / 2
     result = enumerate_solutions(
         single_list_oracle(table, threshold, op), np.random.default_rng(seed)
     )

@@ -23,6 +23,7 @@ from qslice import (
     x,
     z,
 )
+from qslice import sim
 from qslice.sim import Gate, StateVector
 
 from conftest import run_basis
@@ -128,6 +129,126 @@ def test_reversibility_and_unitarity_random_circuits(seed):
     assert np.allclose(back.amplitudes, mixed.amplitudes, atol=1e-9)
 
 
+@pytest.mark.parametrize("drift, raises", [(2e-9, True), (5e-10, False)])
+def test_apply_norm_check_tolerance(drift, raises):
+    state = StateVector(3, np.eye(8, dtype=complex)[5] * (1.0 + drift))
+    circ = Circuit(3, (x(0), h(1)))
+    if raises:
+        with pytest.raises(RuntimeError, match="norm drifted"):
+            apply(state, circ)
+    else:
+        assert abs(apply(state, circ).norm() - (1.0 + drift)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Compiled circuits against the gate-by-gate reference kernel
+# ---------------------------------------------------------------------------
+
+
+def _reference_apply(state, circuit):
+    """Every gate in order through the reference kernel, as apply did before fusion."""
+    amps = state.amplitudes.copy()
+    tensor = amps.reshape((2,) * state.num_qubits)
+    for gate in circuit.gates:
+        sim._apply_gate(tensor, state.num_qubits, gate)
+    return amps
+
+
+def _mixed_circuit(rng, num_qubits, num_gates):
+    """X with 0-3 controls, H with and without controls, UNITARY and PHASE on 0-3 targets."""
+    gates = []
+    for _ in range(num_gates):
+        qubits = [int(q) for q in rng.permutation(num_qubits)]
+        kind = int(rng.integers(0, 5))
+        if kind == 4:
+            width = int(rng.integers(0, min(3, num_qubits) + 1))
+            n_controls = int(rng.integers(0, min(3, num_qubits - width) + 1))
+            targets = qubits[:width]
+            controls = qubits[width : width + n_controls]
+            gates.append(phase(targets, rng.random(1 << width), controls))
+            continue
+        controls = qubits[1 : 1 + int(rng.integers(0, min(3, num_qubits - 1) + 1))]
+        if kind == 0:
+            gates.append(x(qubits[0], controls))
+        elif kind == 1:
+            gates.append(h(qubits[0], controls))
+        elif kind == 2:
+            gates.append(h(qubits[0]))
+        else:
+            mat, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+            gates.append(unitary(qubits[0], mat, controls))
+    if num_qubits > 1:
+        # a global phase controlled on every qubit, and a controlled H whose
+        # controls reach the far end of the register
+        gates.insert(num_gates // 2, phase((), (float(rng.random()),), range(num_qubits)))
+        gates.append(h(0, {num_qubits - 1}))
+    return Circuit(num_qubits, tuple(gates))
+
+
+@pytest.mark.parametrize("num_qubits", range(1, 13))
+def test_compiled_apply_matches_gate_loop(num_qubits):
+    rng = np.random.default_rng(100 + num_qubits)
+    for _ in range(3):
+        circ = _mixed_circuit(rng, num_qubits, int(rng.integers(1, 60)))
+        state = _random_state(rng, num_qubits)
+        got = apply(state, circ).amplitudes
+        assert np.max(np.abs(got - _reference_apply(state, circ))) < 1e-12
+
+
+def test_compiled_runs_wider_than_a_block():
+    # an H layer and X/PHASE runs over 10 qubits: several stages of each kind
+    n = 10
+    layer = [h(q) for q in range(n)]
+    chain = [x(q + 1, {q}) for q in range(n - 1)] + [phase((0, n - 1), (0.0, 0.1, 0.2, 0.3))]
+    circ = Circuit(n, tuple(layer + chain + layer + chain[::-1]))
+    kinds = [type(stage) for stage in circ.stages]
+    assert kinds.count(sim._Block) >= 2 and sim._Monomial in kinds
+    state = _random_state(np.random.default_rng(8), n)
+    assert np.max(np.abs(apply(state, circ).amplitudes - _reference_apply(state, circ))) < 1e-12
+
+
+def test_lone_wide_controlled_h_runs_alone():
+    circ = Circuit(12, (h(0, {11}),))
+    (stage,) = circ.stages
+    assert isinstance(stage, sim._Single)
+    state = _random_state(np.random.default_rng(9), 12)
+    assert np.array_equal(apply(state, circ).amplitudes, _reference_apply(state, circ))
+
+
+def test_circuit_compiles_once(monkeypatch):
+    calls = []
+    real = sim._compile
+    monkeypatch.setattr(sim, "_compile", lambda circ: calls.append(circ) or real(circ))
+    circ = qft_circuit(range(4), 6)
+    state = new_basis_state(6, 3)
+    for _ in range(3):
+        state = apply(state, circ)
+    apply(state, circ, in_place=True)
+    assert len(calls) == 1
+    assert circ.stages is circ.stages
+
+
+@pytest.mark.parametrize("num_qubits", [3, 8, 12, 14])
+def test_stage_tables_fit_their_span(num_qubits):
+    rng = np.random.default_rng(num_qubits)
+    circ = _mixed_circuit(rng, num_qubits, 80)
+    spans = []
+    for stage in circ.stages:
+        if isinstance(stage, sim._Single):
+            continue
+        size = stage.shape[1]  # 2^span
+        spans.append(size)
+        assert stage.shape[0] * size * stage.shape[2] == 1 << num_qubits
+        if isinstance(stage, sim._Block):
+            assert stage.matrix.shape == (size, size)
+            assert size <= 1 << sim._BLOCK_SPAN
+        else:
+            for table in (stage.gather, stage.diagonal):
+                assert table is None or table.size == size
+            assert size <= 1 << sim._MONOMIAL_SPAN
+    assert spans
+
+
 # ---------------------------------------------------------------------------
 # Measurement
 # ---------------------------------------------------------------------------
@@ -163,6 +284,29 @@ def test_subregister_distributions():
                        np.eye(8)[5], atol=1e-12)
     uniform = apply(new_basis_state(3, 0), Circuit(3, (h(0), h(1), h(2))))
     assert np.allclose(subregister_distribution(uniform, [0, 1, 2]), np.full(8, 0.125), atol=1e-9)
+
+
+def _bincount_marginal(state, qubits):
+    """The marginal as built before: an index per amplitude and a weighted bincount."""
+    probs = state.probabilities()
+    idx = np.arange(probs.size, dtype=np.int64)
+    sub = np.zeros(probs.size, dtype=np.int64)
+    for j, q in enumerate(qubits):
+        sub |= ((idx >> q) & 1) << j
+    return np.bincount(sub, weights=probs, minlength=1 << len(qubits))
+
+
+@pytest.mark.parametrize(
+    "qubits",
+    [[7, 2, 4], [1, 5, 6, 0], list(reversed(range(9))), [3], [8], [0], list(range(9)),
+     [0, 1, 2], [6, 7, 8], [2, 3, 4, 5]],
+)
+def test_subregister_distribution_matches_bincount(qubits):
+    rng = np.random.default_rng(len(qubits) + sum(qubits))
+    state = _random_state(rng, 9)
+    got = subregister_distribution(state, qubits)
+    assert got.shape == (1 << len(qubits),)
+    assert np.max(np.abs(got - _bincount_marginal(state, qubits))) < 1e-15
 
 
 def test_register_validation():
