@@ -55,13 +55,13 @@ class ValueTable:
     def __init__(self, bits: int, values: Sequence[int]):
         if bits < 1:
             raise ValueError("bits must be >= 1")
-        vals = tuple(int(v) for v in values)
+        vals = tuple(map(int, values))
         if len(vals) < 2 or len(vals) & (len(vals) - 1):
             raise ValueError(f"table length {len(vals)} is not a power of two, >= 2")
         limit = 1 << bits
-        for v in vals:
-            if not 0 <= v < limit:
-                raise ValueError(f"value {v} does not fit in {bits} bits")
+        if min(vals) < 0 or max(vals) >= limit:
+            bad = next(v for v in vals if not 0 <= v < limit)
+            raise ValueError(f"value {bad} does not fit in {bits} bits")
         self.bits = bits
         self.values = vals
 
@@ -556,7 +556,10 @@ def effective_state_new(n: int) -> EffectiveState:
 def effective_grover_step(state: EffectiveState, marked: Iterable[int]) -> EffectiveState:
     """One Grover iteration: negate marked amplitudes, reflect all about the mean."""
     amps = state.amplitudes.copy()
-    idx = np.fromiter((int(k) for k in marked), dtype=np.int64)
+    if isinstance(marked, np.ndarray) and marked.dtype.kind in "iu":
+        idx = marked  # already an index array, as the evolution memo passes it
+    else:
+        idx = np.fromiter((int(k) for k in marked), dtype=np.int64)
     if idx.size:
         amps[idx] *= -1.0
     return EffectiveState(2.0 * amps.mean() - amps)
@@ -580,9 +583,14 @@ def index_amplitudes(state: StateVector, oracle: OracleCircuit) -> np.ndarray:
         ref[(oracle.reference_basis | 1 << oracle.oracle_qubit) >> n] = -1.0
         ref /= math.sqrt(2.0)
     mat = state.amplitudes.reshape(1 << anc_qubits, 1 << n)
-    coeffs = ref.conj() @ mat
-    residual = mat - np.outer(ref, coeffs)
-    leak = float(np.linalg.norm(residual))
+    # ref has at most two nonzero rows, so plain numpy sums replace BLAS
+    # calls, which stall when the process is pinned to one CPU
+    rows = np.flatnonzero(ref)
+    coeffs = np.einsum("r,ri->i", ref[rows].conj(), mat[rows])
+    residual = mat.copy()
+    residual[rows] -= np.outer(ref[rows], coeffs)
+    flat = residual.view(np.float64).ravel()
+    leak = math.sqrt(np.einsum("i,i->", flat, flat))
     if leak > 1e-9:
         raise RuntimeError(f"workspace leaked {leak} outside the reference ancilla state")
     return coeffs

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, TextIO
 
 import numpy as np
@@ -47,13 +49,23 @@ class PortfolioRecord:
 
 @dataclass(frozen=True)
 class FrontierTable:
-    """Validated frontier rows plus their quantized value tables."""
+    """Validated frontier columns plus their quantized value tables."""
 
-    records: tuple[PortfolioRecord, ...]
+    ids: tuple[int, ...]
+    expected_returns: tuple[float, ...]
+    std_devs: tuple[float, ...]
     t: int
     padded_n: int
     returns: ValueTable
     sigmas: ValueTable
+
+    @cached_property
+    def records(self) -> tuple[PortfolioRecord, ...]:
+        """One record per real row, built on first use."""
+        sharpes = map(operator.truediv, self.expected_returns, self.std_devs)
+        return tuple(
+            map(PortfolioRecord, self.ids, self.expected_returns, self.std_devs, sharpes)
+        )
 
     @property
     def size(self) -> int:
@@ -61,10 +73,10 @@ class FrontierTable:
 
     @property
     def sentinel_count(self) -> int:
-        return self.size - len(self.records)
+        return self.size - len(self.ids)
 
     def is_sentinel(self, index: int) -> bool:
-        return index >= len(self.records)
+        return index >= len(self.ids)
 
 
 def quantize(value: float, t: int) -> int:
@@ -95,8 +107,33 @@ def quantize_array(values: Sequence[float] | np.ndarray, t: int) -> list[int]:
 _HEADER = ("id", "expected_return", "std_dev")
 
 
+def _parsed(cells: Sequence[str], convert) -> list:
+    """``convert`` of each cell, up to the first one it rejects."""
+    try:
+        return list(map(convert, cells))
+    except ValueError:
+        pass
+    values = []
+    for cell in cells:
+        try:
+            values.append(convert(cell))
+        except ValueError:
+            break
+    return values
+
+
+def _first(bad: np.ndarray) -> int:
+    """The position of the first true entry, or the length if there is none."""
+    return int(bad.argmax()) if bad.any() else bad.size
+
+
 def load_frontier(source: TextIO, t: int) -> FrontierTable:
-    """Parse and validate frontier CSV, pad to a power of two, quantize."""
+    """Parse and validate frontier CSV, pad to a power of two, quantize.
+
+    Each column is converted in one pass. A failed check raises the error
+    a row-by-row reading would meet first: the earliest bad row, and on
+    it the first of field count, id, return, risk, ranges and duplicates.
+    """
     reader = csv.reader(source)
     try:
         header = next(reader)
@@ -106,55 +143,51 @@ def load_frontier(source: TextIO, t: int) -> FrontierTable:
         raise FrontierFormatError(
             f"line 1: expected header {','.join(_HEADER)!r}, got {','.join(header)!r}"
         )
-    records: list[PortfolioRecord] = []
-    seen_ids: set[int] = set()
-    for lineno, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != 3:
-            raise FrontierFormatError(f"line {lineno}: expected 3 fields, got {len(row)}")
-        try:
-            row_id = int(row[0])
-        except ValueError:
-            raise FrontierFormatError(f"line {lineno}: field 'id' is not an integer") from None
-        try:
-            ret = float(row[1])
-        except ValueError:
-            raise FrontierFormatError(
-                f"line {lineno}: field 'expected_return' is not a number"
-            ) from None
-        try:
-            std = float(row[2])
-        except ValueError:
-            raise FrontierFormatError(
-                f"line {lineno}: field 'std_dev' is not a number"
-            ) from None
-        if not 0.0 <= ret < 1.0:
-            raise FrontierFormatError(
-                f"line {lineno}: field 'expected_return' must lie in [0, 1), got {ret}"
-            )
-        if not 0.0 < std < 1.0:
-            raise FrontierFormatError(
-                f"line {lineno}: field 'std_dev' must lie in (0, 1), got {std}"
-            )
-        if row_id in seen_ids:
-            raise FrontierFormatError(f"line {lineno}: duplicate id {row_id}")
-        seen_ids.add(row_id)
-        records.append(PortfolioRecord(row_id, ret, std, ret / std))
-    if not records:
+    rows = list(reader)
+    # blank rows are skipped, but still count as lines
+    filled = np.fromiter(map(bool, map(str.strip, map("".join, rows))), bool, len(rows))
+    lines = np.flatnonzero(filled) + 2
+    if lines.size < len(rows):
+        rows = [rows[line - 2] for line in lines]
+    width_ok = _first(np.fromiter(map(len, rows), int, len(rows)) != 3)
+    id_cells, ret_cells, std_cells = tuple(zip(*rows[:width_ok])) or ((), (), ())
+    ids = _parsed(id_cells, int)
+    ret_list, std_list = _parsed(ret_cells, float), _parsed(std_cells, float)
+    rets, stds = np.array(ret_list, dtype=float), np.array(std_list, dtype=float)
+    duplicate = len(ids)
+    if len(set(ids)) < len(ids):
+        seen: set[int] = set()  # set.add returns None, so the first repeat stops next()
+        duplicate = next(k for k, i in enumerate(ids) if i in seen or seen.add(i))
+    bad_ret = _first(~((rets >= 0.0) & (rets < 1.0)))
+    bad_std = _first(~((stds > 0.0) & (stds < 1.0)))
+    # (first failing row, message) per check, in the order a row is checked;
+    # a check that never fails names the row where its column stopped parsing
+    checks = [
+        (width_ok, lambda k: f"expected 3 fields, got {len(rows[k])}"),
+        (len(ids), lambda k: "field 'id' is not an integer"),
+        (rets.size, lambda k: "field 'expected_return' is not a number"),
+        (stds.size, lambda k: "field 'std_dev' is not a number"),
+        (bad_ret, lambda k: f"field 'expected_return' must lie in [0, 1), got {ret_list[k]}"),
+        (bad_std, lambda k: f"field 'std_dev' must lie in (0, 1), got {std_list[k]}"),
+        (duplicate, lambda k: f"duplicate id {ids[k]}"),
+    ]
+    row, message = min(checks, key=lambda check: check[0])
+    if row < len(rows):
+        raise FrontierFormatError(f"line {lines[row]}: {message(row)}")
+    if not rows:
         raise FrontierFormatError("no data rows")
     if t < 1:
         raise ValueError("t must be >= 1")
 
-    padded_n = max(1, math.ceil(math.log2(len(records))))
+    padded_n = max(1, math.ceil(math.log2(len(rows))))
     size = 1 << padded_n
     sentinel_sigma = (1 << t) - 1
-    ret_vals = quantize_array([r.expected_return for r in records], t)
-    sig_vals = quantize_array([r.std_dev for r in records], t)
-    ret_vals += [0] * (size - len(records))
-    sig_vals += [sentinel_sigma] * (size - len(records))
+    ret_vals = quantize_array(rets, t) + [0] * (size - len(rows))
+    sig_vals = quantize_array(stds, t) + [sentinel_sigma] * (size - len(rows))
     return FrontierTable(
-        records=tuple(records),
+        ids=tuple(ids),
+        expected_returns=tuple(ret_list),
+        std_devs=tuple(std_list),
         t=t,
         padded_n=padded_n,
         returns=ValueTable(t, ret_vals),
@@ -173,8 +206,8 @@ def sharpe_values(table: FrontierTable, risk_free_rate: float) -> ValueTable:
     if not 0.0 <= risk_free_rate < 1.0:
         raise ValueError("risk_free_rate must lie in [0, 1)")
     t = table.t
-    returns = np.array([r.expected_return for r in table.records])
-    sigmas = np.array([r.std_dev for r in table.records])
+    returns = np.array(table.expected_returns)
+    sigmas = np.array(table.std_devs)
     bound = (returns.max() - risk_free_rate) / sigmas.min()
     raw = (returns - risk_free_rate) / sigmas
     clamped = int(np.count_nonzero(raw < 0.0))
@@ -215,9 +248,7 @@ def slice_portfolios(
     s2 = quantize(risk_max, table.t)
     oracle = two_list_oracle(table.returns, table.sigmas, s1, s2)
     result = enumerate_solutions(oracle, rng, backend)
-    ids = frozenset(
-        table.records[k].id for k in result.indices if not table.is_sentinel(k)
-    )
+    ids = frozenset(table.ids[k] for k in result.indices if not table.is_sentinel(k))
     return SliceResult(ids, result, oracle.layout.to_dict())
 
 
@@ -238,7 +269,7 @@ def max_sharpe(
     backend: str = "effective",
 ) -> MaxSharpeResult:
     """Id of the portfolio with the largest Sharpe ratio, via adaptive search."""
-    if not table.records:
+    if not table.ids:
         raise ValueError("table has no real rows")
     values = sharpe_values(table, risk_free_rate)
     result = gas(values, "max", rng, repetitions, backend)
@@ -246,18 +277,17 @@ def max_sharpe(
     if table.is_sentinel(index):
         # sentinels share the quantized value 0; prefer a real row on ties
         index = next(
-            (k for k in range(len(table.records)) if values[k] == result.value), None
+            (k for k in range(len(table.ids)) if values[k] == result.value), None
         )
         if index is None:
             raise RuntimeError(
                 "adaptive search ended on a padding row that no real row ties; "
                 "rerun with a larger --repeat"
             )
-    rec = table.records[index]
     layout = single_list_oracle(values, values[index]).layout.to_dict()
     return MaxSharpeResult(
-        id=rec.id,
-        sharpe_raw=(rec.expected_return - risk_free_rate) / rec.std_dev,
+        id=table.ids[index],
+        sharpe_raw=(table.expected_returns[index] - risk_free_rate) / table.std_devs[index],
         index=index,
         gas=result,
         layout=layout,

@@ -1,7 +1,10 @@
+import csv
 import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qslice import (
     FrontierFormatError,
@@ -119,6 +122,68 @@ def test_load_errors():
         load_frontier(make_csv([(0, 1.5, 0.2)]), 4)
     with pytest.raises(FrontierFormatError):
         load_frontier(io.StringIO(""), 4)
+
+
+def row_by_row_rows(text):
+    """Reference reader: each row checked in turn, the first failure raised."""
+    reader = csv.reader(io.StringIO(text))
+    next(reader)  # header
+    rows, seen = [], set()
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != 3:
+            return f"line {lineno}: expected 3 fields, got {len(row)}"
+        try:
+            row_id = int(row[0])
+        except ValueError:
+            return f"line {lineno}: field 'id' is not an integer"
+        try:
+            ret = float(row[1])
+        except ValueError:
+            return f"line {lineno}: field 'expected_return' is not a number"
+        try:
+            std = float(row[2])
+        except ValueError:
+            return f"line {lineno}: field 'std_dev' is not a number"
+        if not 0.0 <= ret < 1.0:
+            return f"line {lineno}: field 'expected_return' must lie in [0, 1), got {ret}"
+        if not 0.0 < std < 1.0:
+            return f"line {lineno}: field 'std_dev' must lie in (0, 1), got {std}"
+        if row_id in seen:
+            return f"line {lineno}: duplicate id {row_id}"
+        seen.add(row_id)
+        rows.append((row_id, ret, std, ret / std))
+    return rows if rows else "no data rows"
+
+
+CELLS = ["0", "1", "7", " 2", "x", "", "1.5", "-0.0", "0.25", "0.999", "nan", "inf", "-0.1", "1e-3"]
+
+csv_rows = st.one_of(
+    st.lists(st.sampled_from(CELLS), min_size=3, max_size=3).map(",".join),
+    st.lists(st.sampled_from(CELLS), min_size=0, max_size=4).map(",".join),
+    st.tuples(st.integers(0, 6), st.floats(0, 1), st.floats(0, 1)).map(
+        lambda r: f"{r[0]},{r[1]:.3f},{r[2]:.3f}"
+    ),
+    st.just(" , , "),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(rows=st.lists(csv_rows, max_size=10))
+@example(rows=["0,0.5,0.5", "", "1,1.5,x", "1,0.5"])  # parse before range, blank lines count
+@example(rows=["0,0.5,0.5", "0,x,0.5", "1,0.5,0"])
+def test_load_reports_what_a_row_by_row_reading_reports(rows):
+    text = "\n".join(["id,expected_return,std_dev", *rows]) + "\n"
+    want = row_by_row_rows(text)
+    try:
+        table = load_frontier(io.StringIO(text), 4)
+    except FrontierFormatError as exc:
+        assert str(exc) == want
+    else:
+        assert [(r.id, r.expected_return, r.std_dev, r.sharpe) for r in table.records] == want
+        assert table.returns.values[: len(want)] == tuple(quantize(r[1], 4) for r in want)
+        assert table.sigmas.values[: len(want)] == tuple(quantize(r[2], 4) for r in want)
 
 
 # ---------------------------------------------------------------------------

@@ -503,6 +503,119 @@ def test_evolution_cache_holds_no_reference_to_its_oracle(backend):
 
 
 # ---------------------------------------------------------------------------
+# The effective backend's closed-form draw against the CDF it replaces
+# ---------------------------------------------------------------------------
+
+
+def stepped_probabilities(oracle, iterations):
+    """Index probabilities for each j in ``iterations``, stepped once from |psi>."""
+    marked = sorted(oracle.marked_set)
+    state = effective_state_new(oracle.index_bits)
+    table = {0: state.probabilities()}
+    for j in range(1, max(iterations) + 1):
+        state = effective_grover_step(state, marked)
+        table[j] = state.probabilities()
+    return table
+
+
+@st.composite
+def random_masks(draw):
+    n = draw(st.integers(1, 12))
+    size = 1 << n
+    count = draw(st.one_of(st.sampled_from([0, 1, size // 4, size - 1, size]), st.integers(0, size)))
+    marked = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).choice(
+        size, size=count, replace=False
+    )
+    top = int(2 * math.sqrt(size)) + 2
+    iterations = draw(st.lists(st.integers(0, top), min_size=1, max_size=6))
+    return n, marked.tolist(), iterations
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=random_masks(), seed=st.integers(0, 2**32 - 1))
+def test_effective_draw_is_choice_on_random_masks(case, seed):
+    n, marked, iterations = case
+    oracle = direct_marking_oracle(n, marked)
+    probs = stepped_probabilities(oracle, iterations)
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for j in iterations:
+        for _ in range(25):
+            want = int(theirs.choice(probs[j].size, p=probs[j] / probs[j].sum()))
+            assert grover_search(oracle, j, ours) == want, (j, len(marked))
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+class StubGenerator:
+    """Returns the given uniforms in order, as ``Generator.random`` would."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def random(self):
+        return float(next(self.values))
+
+
+@pytest.mark.parametrize(
+    "n, marked",
+    [
+        (6, (3, 4, 17, 18, 19, 40, 63)),
+        (6, tuple(k for k in range(64) if k % 7)),  # the unmarked class is the smaller
+        (5, ()),
+        (5, tuple(range(32))),
+        (4, (0, 5, 10, 15)),  # M = N/4: no unmarked mass at j = 1
+    ],
+)
+def test_effective_draw_on_every_cdf_boundary_is_searchsorted(n, marked, monkeypatch):
+    fallbacks = []
+    reference_locate = search._Evolution.locate
+
+    def counted(self, iterations, v):
+        fallbacks.append(v)
+        return reference_locate(self, iterations, v)
+
+    monkeypatch.setattr(search._Evolution, "locate", counted)
+    oracle = direct_marking_oracle(n, marked)
+    iterations = list(range(int(2 * math.sqrt(1 << n)) + 3))
+    for j, probs in stepped_probabilities(oracle, iterations).items():
+        cdf = (probs / probs.sum()).cumsum()
+        cdf /= cdf[-1]
+        values = np.concatenate([[0.0], cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0)])
+        values = values[values < 1.0]
+        rng = StubGenerator(values)
+        for v in values:
+            assert grover_search(oracle, j, rng) == int(cdf.searchsorted(v, side="right")), (j, v)
+    assert fallbacks  # the CDF path really ran on values at the boundaries
+
+
+def test_effective_draw_builds_no_cdf_away_from_the_boundaries(monkeypatch):
+    def no_cdf(self, iterations, v):
+        raise AssertionError(f"the CDF path ran at j={iterations}, v={v}")
+
+    monkeypatch.setattr(search._Evolution, "locate", no_cdf)
+    gen = np.random.default_rng(11)
+    for n, count in ((1, 1), (4, 0), (6, 16), (9, 100), (9, 500), (12, 4096), (12, 1500)):
+        marked = gen.choice(1 << n, size=count, replace=False)
+        oracle = direct_marking_oracle(n, marked.tolist())
+        rng = np.random.default_rng(n)
+        for j in (0, 1, 2, 5, int(2 * math.sqrt(1 << n)) + 2):
+            for _ in range(300):
+                grover_search(oracle, j, rng)
+
+
+def test_effective_draw_with_no_unmarked_mass():
+    # M = N/4: one iteration rotates all the amplitude onto the marked class
+    oracle = direct_marking_oracle(6, range(0, 64, 4))
+    assert search._evolution(oracle).record(1)[1] == 0.0
+    probs = stepped_probabilities(oracle, [1])[1]
+    ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(200):
+        want = int(theirs.choice(probs.size, p=probs / probs.sum()))
+        got = grover_search(oracle, 1, ours)
+        assert got == want and got % 4 == 0
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
 # The dense evolution cache against simulating from |0> every run
 # ---------------------------------------------------------------------------
 
