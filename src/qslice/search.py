@@ -15,7 +15,9 @@ of its amplitude pair by one bisection, or from the CDF itself near a boundary.
 Dense counting steps the same operator: its register starts in |+>^m and
 only controls powers of G until the inverse QFT, so the joint state is
 sum_c |c> G^c|psi> / 2^(m/2), built row by row from 2^m - 1 steps on the
-workspace alone.
+workspace alone. Effective counting evaluates one phase-estimation kernel
+and mirrors it. On both backends a count's outcome and its further samples
+come from one CDF, as ``rng.choice`` draws them.
 
 Sampling is deterministic for a given ``numpy.random.Generator``; independent
 repetitions derive child generators by spawning, so runs are reproducible
@@ -142,14 +144,20 @@ class _Evolution:
     def locate(self, iterations: int, v: float) -> int:
         """The index whose interval of the measurement CDF holds the uniform ``v``."""
         if iterations != self._cdf_iterations:
-            probs = self.probabilities(iterations)
-            total = probs.sum()
-            if total < 1e-12:
-                raise RuntimeError("register marginal is numerically zero")
-            cdf = (probs / total).cumsum()
-            cdf /= cdf[-1]
-            self._cdf_iterations, self._cdf = iterations, cdf
+            self._cdf_iterations = iterations
+            self._cdf = _measurement_cdf(self.probabilities(iterations))
         return int(self._cdf.searchsorted(v, side="right"))
+
+
+def _measurement_cdf(probs: np.ndarray) -> np.ndarray:
+    """The CDF ``rng.choice(probs.size, p=probs / probs.sum())`` searches its uniforms in."""
+    total = probs.sum()
+    if total < 1e-12:
+        raise RuntimeError("register marginal is numerically zero")
+    cdf = probs / total
+    cdf.cumsum(out=cdf)
+    cdf /= cdf[-1]
+    return cdf
 
 
 class _EffectiveEvolution(_Evolution):
@@ -360,7 +368,7 @@ class CountEstimate:
     """A counting outcome b, the solution-count estimate and its error bound.
 
     ``m`` is the register width; ``bound`` is ``register_error_bound`` at the
-    rounded estimate.
+    rounded estimate; ``cdf`` is the CDF ``b`` was drawn from.
     """
 
     m: int
@@ -371,6 +379,7 @@ class CountEstimate:
     m_rounded: int
     bound: float
     distribution: np.ndarray
+    cdf: np.ndarray = field(repr=False)
 
     def classify(self) -> str:
         """Three-way class used by solution detection: none, single, multiple."""
@@ -454,7 +463,13 @@ def t_for_resolution(d: float) -> int:
 
 
 def qpe_distribution(phase_turns: float, m: int) -> np.ndarray:
-    """Exact m-bit phase-estimation outcome distribution for one eigenphase."""
+    """Exact m-bit phase-estimation outcome distribution for one eigenphase.
+
+    Outcome b has probability sin^2(pi (x - b)) / (2^m sin(pi (phi - b/2^m)))^2
+    with x = 2^m phi. The numerator is sin^2(pi (x - round(x))) for every b,
+    one float from an exact difference (pi x itself rounds at the scale of
+    2^m), so only the denominator takes a pass over the outcomes.
+    """
     size = 1 << m
     phi = phase_turns % 1.0
     x = phi * size
@@ -463,11 +478,15 @@ def qpe_distribution(phase_turns: float, m: int) -> np.ndarray:
         dist = np.zeros(size)
         dist[nearest % size] = 1.0
         return dist
-    b = np.arange(size)
-    delta = phi - b / size
-    num = np.sin(np.pi * (x - b)) ** 2
-    den = (size * np.sin(np.pi * delta)) ** 2
-    return num / den
+    # in place: phi - b / 2^m, then the denominator, then the quotient
+    dist = np.arange(size, dtype=float)
+    dist /= -size
+    dist += phi
+    dist *= np.pi
+    np.sin(dist, out=dist)
+    dist *= size
+    np.square(dist, out=dist)
+    return np.divide(math.sin(math.pi * (x - nearest)) ** 2, dist, out=dist)
 
 
 def counting_distribution(n_space: int, n_marked: int, m: int) -> np.ndarray:
@@ -475,14 +494,18 @@ def counting_distribution(n_space: int, n_marked: int, m: int) -> np.ndarray:
 
     The uniform start state overlaps each Grover eigenvector (eigenphases
     +-theta/2pi) with weight 1/2, so the outcome law is the even mixture of
-    the two phase-estimation kernels.
+    the two phase-estimation kernels (Brassard, Hoyer, Mosca & Tapp 2002).
+    The -phi kernel is the +phi kernel at outcome -b mod 2^m, so one kernel
+    is evaluated and mirrored by index reversal, and the result is symmetric
+    under b -> -b bit for bit. With no solution phi is 0: all mass on b = 0.
     """
-    if n_marked == 0:
-        dist = np.zeros(1 << m)
-        dist[0] = 1.0
-        return dist
-    phi = grover_angle(n_space, n_marked) / (2.0 * math.pi)
-    return 0.5 * qpe_distribution(phi, m) + 0.5 * qpe_distribution(-phi, m)
+    phi = grover_angle(n_space, n_marked) / (2.0 * math.pi) if n_marked else 0.0
+    dist = qpe_distribution(phi, m)
+    # in place: add kernel[-b mod 2^m] (numpy buffers the overlapping reversed
+    # view) and halve; outcome 0 is its own mirror, (k + k) / 2 = k
+    dist[1:] += dist[:0:-1]
+    dist[1:] *= 0.5
+    return dist
 
 
 def estimate_from_outcome(b: int, m: int, n_space: int) -> tuple[float, float, int]:
@@ -500,7 +523,8 @@ def quantum_counting(
 ) -> CountEstimate:
     """Phase-estimate the Grover operator to count solutions.
 
-    Returns the exact outcome distribution together with one seeded sample.
+    Returns the exact outcome distribution and one sample drawn from its CDF
+    (kept on the estimate for further samples), as ``rng.choice`` draws it.
     On the dense backend the register's branches G^c|psi> are stepped on the
     oracle workspace and the inverse QFT runs over register and workspace;
     on the effective backend the distribution follows from the two
@@ -514,7 +538,8 @@ def quantum_counting(
         dist = _dense_counting_distribution(oracle, m)
     else:
         dist = counting_distribution(n_space, len(oracle.marked_set), m)
-    b = int(rng.choice(dist.size, p=dist / dist.sum()))
+    cdf = _measurement_cdf(dist)
+    b = int(cdf.searchsorted(rng.random(), side="right"))
     theta_est, m_est, m_rounded = estimate_from_outcome(b, m, n_space)
     return CountEstimate(
         m=m,
@@ -525,6 +550,7 @@ def quantum_counting(
         m_rounded=m_rounded,
         bound=register_error_bound(n_space, max(m_rounded, 0), m),
         distribution=dist,
+        cdf=cdf,
     )
 
 
@@ -596,13 +622,9 @@ def _median_count(
     samples: int,
 ) -> tuple[int, CountEstimate]:
     est = quantum_counting(oracle, m, rng, backend)
-    dist = est.distribution / est.distribution.sum()
-    draws = rng.choice(dist.size, size=samples, p=dist)
-    rounded = sorted(
-        estimate_from_outcome(int(b), m, est.n_space)[2] for b in draws
-    )
-    median = rounded[len(rounded) // 2]
-    return median, est
+    draws = est.cdf.searchsorted(rng.random(samples), side="right")
+    rounded = sorted(estimate_from_outcome(int(b), m, est.n_space)[2] for b in draws)
+    return rounded[len(rounded) // 2], est
 
 
 def enumerate_solutions(

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qslice import (
+    EffectiveState,
     ValueTable,
     all_of,
     any_of,
@@ -315,6 +316,24 @@ def test_effective_step_examples():
     assert abs(out.probabilities()[2] - 1.0) < 1e-12
     unchanged = effective_grover_step(state, set())
     assert np.allclose(unchanged.amplitudes, state.amplitudes)
+
+
+def test_effective_step_reflects_about_the_mean_bit_for_bit():
+    # the reflection divides the sum by the size rather than calling mean():
+    # the same add-reduce and the same division
+    rng = np.random.default_rng(11)
+    for trial in range(2000):
+        size = 1 << int(rng.integers(1, 13))
+        if trial % 2:
+            amps = rng.standard_normal(size)
+        else:  # two-valued, as every state of the Grover evolution is
+            amps = np.where(rng.random(size) < rng.random(), *rng.standard_normal(2))
+        marked = np.flatnonzero(rng.random(size) < rng.random())
+        flipped = amps.copy()
+        flipped[marked] *= -1.0
+        want = 2.0 * flipped.mean() - flipped
+        got = effective_grover_step(EffectiveState(amps), marked).amplitudes
+        assert got.tobytes() == want.tobytes(), (trial, size, marked.size)
 
 
 def test_effective_matches_dense_single_list():

@@ -275,6 +275,83 @@ def test_counting_recovers_clean_cases():
             assert delta_m_bound(size, marked_count, m) < 0.5
 
 
+def longdouble_kernel(phase_turns, m):
+    """``qpe_distribution``'s law from the same float phase, in long double."""
+    size = 1 << m
+    pi = 4 * np.arctan(np.longdouble(1))
+    phi = np.longdouble(phase_turns) % 1
+    x = phi * size
+    nearest = np.rint(x)
+    if abs(x - nearest) < 1e-12:
+        dist = np.zeros(size, dtype=np.longdouble)
+        dist[int(nearest) % size] = 1
+        return dist
+    b = np.arange(size, dtype=np.longdouble)
+    return np.sin(pi * (x - b)) ** 2 / (size * np.sin(pi * (phi - b / size))) ** 2
+
+
+def counting_cases(max_bits):
+    """(N, M) at every N up to 2^max_bits: M = 0, 1, 2, 3, N/4, N/2 +- 1, N - 1, N."""
+    for n in range(1, max_bits + 1):
+        size = 1 << n
+        marked = {0, 1, 2, 3, size // 4, size // 2 - 1, size // 2, size // 2 + 1, size - 1, size}
+        yield from ((size, k) for k in sorted(marked) if 0 <= k <= size)
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="long double is no wider than double here",
+)
+def test_counting_distribution_is_within_an_ulp_of_the_long_double_law():
+    for size, marked_count in counting_cases(12):
+        m = m_exact(size) + search.ENUMERATION_EXTRA_BITS
+        if marked_count == 0:
+            want = np.zeros(1 << m)
+            want[0] = 1.0
+        else:
+            phi = grover_angle(size, marked_count) / (2 * math.pi)
+            want = 0.5 * longdouble_kernel(phi, m) + 0.5 * longdouble_kernel(-np.longdouble(phi), m)
+        got = counting_distribution(size, marked_count, m)
+        error = float(np.max(np.abs(got - want)))
+        assert error <= 1e-15, (size, marked_count, m, error)
+
+
+def test_counting_distribution_is_mirror_symmetric_and_normalised():
+    cases = [(size, k, m_exact(size) + search.ENUMERATION_EXTRA_BITS) for size, k in counting_cases(12)]
+    for size, marked_count, m in cases + [(4096, 2048, 17), (8, 3, 3), (2, 1, 1)]:
+        dist = counting_distribution(size, marked_count, m)
+        mirrored = dist[-np.arange(dist.size) % dist.size]
+        assert dist.tobytes() == mirrored.tobytes(), (size, marked_count, m)
+        assert abs(dist.sum() - 1.0) < 1e-12, (size, marked_count, m)
+
+
+@pytest.mark.parametrize("backend, n, m", [("dense", 3, 5), ("effective", 6, 11)])
+def test_counting_draws_are_what_choice_draws(backend, n, m, monkeypatch):
+    size = 1 << n
+    drawn = []
+    real = search.estimate_from_outcome
+
+    def recording(b, *args):
+        drawn.append(int(b))
+        return real(b, *args)
+
+    monkeypatch.setattr(search, "estimate_from_outcome", recording)
+    samples = search.ENUMERATION_SAMPLES
+    for marked_count in (0, 1, size // 4, size // 2, 3 * size // 4 - 1):
+        marked = np.random.default_rng(marked_count).choice(size, marked_count, replace=False)
+        oracle = direct_marking_oracle(n, marked.tolist())
+        for seed in range(8):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            drawn.clear()
+            _, est = search._median_count(oracle, m, ours, backend, samples)
+            p = est.distribution / est.distribution.sum()
+            want_b = int(theirs.choice(p.size, p=p))
+            want = theirs.choice(p.size, size=samples, p=p).tolist()
+            assert est.b == want_b, (marked_count, seed)
+            assert drawn == [want_b] + want, (marked_count, seed)
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # Enumeration
 # ---------------------------------------------------------------------------
