@@ -11,6 +11,7 @@ line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -31,7 +32,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``main`` call and reused after."""
     parser = _Parser(
         prog="qslice",
         description="Grover-based portfolio slicing and maximum-Sharpe selection",
@@ -88,12 +91,7 @@ def _fail(message: str) -> int:
 
 def _load(args: argparse.Namespace) -> pf.FrontierTable:
     """Check the resolution and any thresholds, then read and quantize the input."""
-    d = args.resolution
-    if not 0.0 < d <= 1.0:
-        raise ValueError(f"--resolution must lie in (0, 1], got {d}")
-    t = t_for_resolution(d)
-    if t < 1:
-        raise ValueError(f"--resolution {d} gives no usable comparator bits")
+    t = t_for_resolution(args.resolution)
     for name in ("return_min", "risk_max"):
         v = getattr(args, name, None)
         if v is not None and not 0.0 <= v < 1.0:
@@ -112,67 +110,35 @@ def _count_payload(est) -> dict:
     }
 
 
-def cmd_slice(args: argparse.Namespace) -> int:
-    table = _load(args)
-    rng = np.random.default_rng(args.seed)
-    result = pf.slice_portfolios(
-        table, args.return_min, args.risk_max, rng, args.backend
-    )
-    payload = {
+def _slice(args: argparse.Namespace, table: pf.FrontierTable, rng: np.random.Generator):
+    result = pf.slice_portfolios(table, args.return_min, args.risk_max, rng, args.backend)
+    return result, {
         "selected_ids": sorted(result.ids),
         "count_estimate": _count_payload(result.enumeration.count_estimate),
         "oracle_calls": result.enumeration.oracle_calls,
-        "qubit_layout": result.layout,
-        "seed": args.seed,
-        "backend": args.backend,
     }
-    _emit(payload, args.output)
-    return 0
 
 
-def cmd_max_sharpe(args: argparse.Namespace) -> int:
-    table = _load(args)
-    if args.repeat < 1:
-        raise ValueError("--repeat must be >= 1")
-    rng = np.random.default_rng(args.seed)
+def _max_sharpe(args: argparse.Namespace, table: pf.FrontierTable, rng: np.random.Generator):
     result = pf.max_sharpe(table, args.rf, rng, args.repeat, args.backend)
-    payload = {
+    return result, {
         "id": result.id,
         "sharpe_raw": result.sharpe_raw,
         "oracle_calls_total": result.gas.oracle_calls,
         "repetitions": args.repeat,
-        "qubit_layout": result.layout,
-        "seed": args.seed,
-        "backend": args.backend,
     }
-    _emit(payload, args.output)
-    return 0
 
 
-def cmd_count(args: argparse.Namespace) -> int:
-    if args.return_min is None and args.risk_max is None:
-        raise ValueError("count needs --return-min and/or --risk-max")
-    table = _load(args)
-    rng = np.random.default_rng(args.seed)
+def _count(args: argparse.Namespace, table: pf.FrontierTable, rng: np.random.Generator):
     result = pf.count_portfolios(
         table, args.return_min, args.risk_max, rng, args.mode, args.backend
     )
     est = result.estimate
-    payload = {
-        "m_used": est.m,
-        "b": est.b,
-        "M_est": est.m_est,
-        "M_rounded": est.m_rounded,
-        "delta_m_bound": est.bound,
-        "mode": args.mode,
-        "class": est.classify(),
-        "doubled": result.doubled,
-        "qubit_layout": result.layout,
-        "seed": args.seed,
-        "backend": args.backend,
-    }
-    _emit(payload, args.output)
-    return 0
+    fields = _count_payload(est)
+    fields["m_used"] = fields.pop("m")
+    fields.update(mode=args.mode, doubled=result.doubled)
+    fields["class"] = est.classify()
+    return result, fields
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -204,18 +170,26 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0 if agree else 1
 
 
-_COMMANDS = {
-    "slice": cmd_slice,
-    "max-sharpe": cmd_max_sharpe,
-    "count": cmd_count,
-    "compare": cmd_compare,
-}
+#: The data commands. Each runs its driver on the loaded table and returns
+#: the result (for its qubit layout) and the payload fields particular to it.
+_COMMANDS = {"slice": _slice, "max-sharpe": _max_sharpe, "count": _count}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        if args.command == "compare":
+            return cmd_compare(args)
+        if args.command == "count" and args.return_min is None and args.risk_max is None:
+            raise ValueError("count needs --return-min and/or --risk-max")
+        table = _load(args)
+        if args.command == "max-sharpe" and args.repeat < 1:
+            raise ValueError("--repeat must be >= 1")
+        rng = np.random.default_rng(args.seed)
+        result, payload = _COMMANDS[args.command](args, table, rng)
+        payload.update(qubit_layout=result.layout, seed=args.seed, backend=args.backend)
+        _emit(payload, args.output)
+        return 0
     except SearchDisagreement as exc:
         _fail(str(exc))
         return 2

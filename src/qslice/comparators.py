@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .sim import Circuit, Gate, x
+from .sim import Circuit, Gate, remap, x
 
 
 @dataclass(frozen=True)
@@ -67,21 +67,9 @@ def gt_circuit(n: int) -> Circuit:
 
 
 def lt_circuit(n: int) -> Circuit:
-    """Strict less-than: outcome ^= [a < b]. Mirror of gt with difference bits in A."""
-    lay = ComparatorLayout(n)
-    out = lay.outcome_qubit
-    gates: list[Gate] = []
-    for j in range(n):
-        gates.append(x(j, {n + j}))
-    for j in reversed(range(n)):
-        controls = {n + j, *range(j, n)}
-        gates.append(x(out, controls))
-        gates.append(x(j))
-    for j in range(n):
-        gates.append(x(j))
-    for j in range(n):
-        gates.append(x(j, {n + j}))
-    return Circuit(lay.num_qubits, tuple(gates))
+    """Strict less-than: outcome ^= [a < b]. ``gt_circuit`` with A and B swapped."""
+    swap = {**{j: n + j for j in range(n)}, **{n + j: j for j in range(n)}}
+    return remap(gt_circuit(n), swap, 2 * n + 1)
 
 
 def eq_circuit(n: int) -> Circuit:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import math
 import operator
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -85,21 +86,18 @@ def quantize(value: float, t: int) -> int:
     Quantized values are exact t-bit fractions, which is what makes the
     oracle's phase estimation exact.
     """
-    if not 0.0 <= value < 1.0:
-        raise ValueError(f"value {value} outside [0, 1)")
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    return min(int(math.floor(value * (1 << t) + 0.5)), (1 << t) - 1)
+    return quantize_array([value], t)[0]
 
 
 def quantize_array(values: Sequence[float] | np.ndarray, t: int) -> list[int]:
-    """``quantize`` of every value, in one pass of the same IEEE arithmetic."""
+    """``quantize`` of every value, in one numpy pass."""
     values = np.asarray(values, dtype=float)
     outside = values[~((values >= 0.0) & (values < 1.0))]
     if outside.size:
         raise ValueError(f"value {outside[0]} outside [0, 1)")
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    # the int64 cast below is exact up to a double's 53 significand bits
+    if not 1 <= t <= sys.float_info.mant_dig:
+        raise ValueError(f"t must lie in [1, {sys.float_info.mant_dig}]")
     scale = float(1 << t)
     return np.minimum(np.floor(values * scale + 0.5), scale - 1.0).astype(np.int64).tolist()
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -456,10 +457,19 @@ def _error_bound(n_space: int, n_marked: int, scale: float) -> float:
 
 
 def t_for_resolution(d: float) -> int:
-    """Comparator resolution bits for resolving power d: ceil(log2(1/d))."""
-    if not 0.0 < d <= 1.0:
-        raise ValueError("resolving power must lie in (0, 1]")
-    return math.ceil(math.log2(1.0 / d))
+    """Comparator resolution bits for resolving power d: ceil(log2(1/d)).
+
+    This is the one check of a resolving power: d must lie in (0, 1) and
+    need at most a double's 53 significand bits, since finer bits quantize
+    nothing.
+    """
+    if not 0.0 < d < 1.0:
+        raise ValueError(f"resolution must lie in (0, 1), got {d}")
+    inverse = 1.0 / d
+    bits = sys.float_info.mant_dig
+    if not math.isfinite(inverse) or math.log2(inverse) > bits:
+        raise ValueError(f"resolution {d} is finer than 2^-{bits}, the finest a double carries")
+    return math.ceil(math.log2(inverse))
 
 
 def qpe_distribution(phase_turns: float, m: int) -> np.ndarray:
@@ -468,8 +478,13 @@ def qpe_distribution(phase_turns: float, m: int) -> np.ndarray:
     Outcome b has probability sin^2(pi (x - b)) / (2^m sin(pi (phi - b/2^m)))^2
     with x = 2^m phi. The numerator is sin^2(pi (x - round(x))) for every b,
     one float from an exact difference (pi x itself rounds at the scale of
-    2^m), so only the denominator takes a pass over the outcomes.
+    2^m), so only the denominator takes a pass over the outcomes. A register
+    above ``sim.DENSE_QUBIT_CAP`` qubits is refused before it is allocated.
     """
+    if m > sim.DENSE_QUBIT_CAP:
+        raise sim.CapacityError(
+            f"counting register of {m} qubits is above the cap {sim.DENSE_QUBIT_CAP}"
+        )
     size = 1 << m
     phi = phase_turns % 1.0
     x = phi * size
@@ -710,7 +725,6 @@ def gas(
     rng: np.random.Generator,
     repetitions: int,
     backend: str = "effective",
-    qes_budget: int | None = None,
     counting_termination: bool = False,
 ) -> GasResult:
     """Adaptive search for the extremal table entry.
@@ -733,7 +747,7 @@ def gas(
     _check_backend(backend)
     n_space = values.size
     budget = gas_budget(n_space)
-    per_qes = qes_budget if qes_budget is not None else default_qes_budget(n_space)
+    per_qes = default_qes_budget(n_space)
     op = "gt" if direction == "max" else "lt"
 
     def better(a: int, b: int) -> bool:

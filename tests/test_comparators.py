@@ -11,7 +11,7 @@ from qslice import (
     new_basis_state,
     or_combiner,
 )
-from qslice.sim import Circuit, h
+from qslice.sim import Circuit, format_circuit, h
 
 from conftest import run_basis
 
@@ -60,6 +60,74 @@ def test_gate_count_contract():
     for n in range(1, 6):
         assert len(gt_circuit(n).gates) == 5 * n
         assert len(lt_circuit(n).gates) == 5 * n
+
+
+# lt_circuit's gate listing before it became gt_circuit with the operands swapped
+LT_LISTINGS = {
+    1: (
+        "X controls=[1] targets=[0]\n"
+        "X controls=[0, 1] targets=[2]\n"
+        "X controls=[] targets=[0]\n"
+        "X controls=[] targets=[0]\n"
+        "X controls=[1] targets=[0]"
+    ),
+    2: (
+        "X controls=[2] targets=[0]\n"
+        "X controls=[3] targets=[1]\n"
+        "X controls=[1, 3] targets=[4]\n"
+        "X controls=[] targets=[1]\n"
+        "X controls=[0, 1, 2] targets=[4]\n"
+        "X controls=[] targets=[0]\n"
+        "X controls=[] targets=[0]\n"
+        "X controls=[] targets=[1]\n"
+        "X controls=[2] targets=[0]\n"
+        "X controls=[3] targets=[1]"
+    ),
+    3: (
+        "X controls=[3] targets=[0]\n"
+        "X controls=[4] targets=[1]\n"
+        "X controls=[5] targets=[2]\n"
+        "X controls=[2, 5] targets=[6]\n"
+        "X controls=[] targets=[2]\n"
+        "X controls=[1, 2, 4] targets=[6]\n"
+        "X controls=[] targets=[1]\n"
+        "X controls=[0, 1, 2, 3] targets=[6]\n"
+        "X controls=[] targets=[0]\n"
+        "X controls=[] targets=[0]\n"
+        "X controls=[] targets=[1]\n"
+        "X controls=[] targets=[2]\n"
+        "X controls=[3] targets=[0]\n"
+        "X controls=[4] targets=[1]\n"
+        "X controls=[5] targets=[2]"
+    ),
+    4: (
+        "X controls=[4] targets=[0]\n"
+        "X controls=[5] targets=[1]\n"
+        "X controls=[6] targets=[2]\n"
+        "X controls=[7] targets=[3]\n"
+        "X controls=[3, 7] targets=[8]\n"
+        "X controls=[] targets=[3]\n"
+        "X controls=[2, 3, 6] targets=[8]\n"
+        "X controls=[] targets=[2]\n"
+        "X controls=[1, 2, 3, 5] targets=[8]\n"
+        "X controls=[] targets=[1]\n"
+        "X controls=[0, 1, 2, 3, 4] targets=[8]\n"
+        "X controls=[] targets=[0]\n"
+        "X controls=[] targets=[0]\n"
+        "X controls=[] targets=[1]\n"
+        "X controls=[] targets=[2]\n"
+        "X controls=[] targets=[3]\n"
+        "X controls=[4] targets=[0]\n"
+        "X controls=[5] targets=[1]\n"
+        "X controls=[6] targets=[2]\n"
+        "X controls=[7] targets=[3]"
+    ),
+}
+
+
+@pytest.mark.parametrize("n", sorted(LT_LISTINGS))
+def test_lt_listing_is_pinned(n):
+    assert format_circuit(lt_circuit(n)) == LT_LISTINGS[n]
 
 
 def test_self_inverse():

@@ -85,6 +85,8 @@ def test_quantize_array_validates_like_quantize():
         quantize_array([-0.1], 3)
     with pytest.raises(ValueError):
         quantize_array([0.5], 0)
+    with pytest.raises(ValueError):
+        quantize(0.5, 54)  # more bits than a double's significand
 
 
 # ---------------------------------------------------------------------------

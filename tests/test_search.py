@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -212,10 +213,24 @@ def test_t_for_resolution():
     assert t_for_resolution(0.01) == 7
     assert t_for_resolution(0.5) == 1
     assert t_for_resolution(1 / 256) == 8
-    with pytest.raises(ValueError):
-        t_for_resolution(0.0)
-    with pytest.raises(ValueError):
-        t_for_resolution(1.5)
+    assert t_for_resolution(2.0**-53) == 53
+    for d in (0.0, 1.0, 1.5, 1e-20, 1e-320):
+        # 1e-20 needs 67 bits and 1/1e-320 overflows to inf
+        with pytest.raises(ValueError, match="resolution"):
+            t_for_resolution(d)
+
+
+def test_counting_register_above_the_cap_is_refused_before_allocating():
+    oracle = direct_marking_oracle(3, {1})
+    oracle.marked_set  # built outside the traced window
+    tracemalloc.start()
+    try:
+        with pytest.raises(sim.CapacityError):
+            quantum_counting(oracle, sim.DENSE_QUBIT_CAP + 1, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_counting_zero_solutions():
