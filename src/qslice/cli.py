@@ -182,9 +182,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             return cmd_compare(args)
         if args.command == "count" and args.return_min is None and args.risk_max is None:
             raise ValueError("count needs --return-min and/or --risk-max")
-        table = _load(args)
         if args.command == "max-sharpe" and args.repeat < 1:
             raise ValueError("--repeat must be >= 1")
+        table = _load(args)
         rng = np.random.default_rng(args.seed)
         result, payload = _COMMANDS[args.command](args, table, rng)
         payload.update(qubit_layout=result.layout, seed=args.seed, backend=args.backend)

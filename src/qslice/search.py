@@ -12,6 +12,7 @@ and each j reached keeps a record that rebuilds its index-register
 probabilities bit for bit, so a search draws exactly what simulating from
 |psi> would. The effective backend finds that index from the closed-form CDF
 of its amplitude pair by one bisection, or from the CDF itself near a boundary.
+Enumeration's fixed-j runs are drawn as blocks located in that CDF at once.
 Dense counting steps the same operator: its register starts in |+>^m and
 only controls powers of G until the inverse QFT, so the joint state is
 sum_c |c> G^c|psi> / 2^(m/2), built row by row from 2^m - 1 steps on the
@@ -110,9 +111,10 @@ class _Evolution:
     and each j reached keeps a record from which its index-register
     probabilities are rebuilt bit for bit, so an oracle takes at most max-j
     steps in all. A measurement locates one uniform ``v`` in the CDF, kept
-    for the last j, so repeated runs at one j cost one binary search each.
-    Subclasses give the state, the step and the record, and may locate
-    ``v`` without the CDF; nothing held refers back to the oracle.
+    for the last j, and a block of runs at one j locates its uniforms there
+    with one ``searchsorted``. Subclasses give the state, the step and the
+    record, and may locate a single ``v`` without the CDF; nothing held
+    refers back to the oracle.
     """
 
     def __init__(self, state):
@@ -144,10 +146,14 @@ class _Evolution:
 
     def locate(self, iterations: int, v: float) -> int:
         """The index whose interval of the measurement CDF holds the uniform ``v``."""
+        return int(self.cdf(iterations).searchsorted(v, side="right"))
+
+    def cdf(self, iterations: int) -> np.ndarray:
+        """The measurement CDF after ``iterations`` Grover iterations, kept for the last j."""
         if iterations != self._cdf_iterations:
             self._cdf_iterations = iterations
             self._cdf = _measurement_cdf(self.probabilities(iterations))
-        return int(self._cdf.searchsorted(v, side="right"))
+        return self._cdf
 
 
 def _measurement_cdf(probs: np.ndarray) -> np.ndarray:
@@ -286,12 +292,23 @@ def grover_search(
     iterations: int,
     rng: np.random.Generator,
     backend: str = "effective",
-) -> int:
-    """Apply the Grover operator ``iterations`` times to |psi> and measure."""
+    shots: int | None = None,
+) -> int | np.ndarray:
+    """Apply the Grover operator ``iterations`` times to |psi> and measure.
+
+    With ``shots`` it returns an int array of the indices that many successive
+    calls would return, drawn from one block of uniforms and located in the
+    measurement CDF at once; the generator ends where those calls leave it.
+    """
     _check_backend(backend)
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
-    return _evolution(oracle, backend).sample(iterations, rng)
+    evolution = _evolution(oracle, backend)
+    if shots is None:
+        return evolution.sample(iterations, rng)
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+    return evolution.cdf(iterations).searchsorted(rng.random(shots), side="right")
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +632,10 @@ ENUMERATION_EXTRA_BITS = ANGLE_BITS + 1
 #: Independent counting samples whose median becomes the working estimate.
 ENUMERATION_SAMPLES = 15
 
+#: Most fixed-iteration runs drawn as one block, which bounds the memory a
+#: block takes whatever the run cap.
+ENUMERATION_BLOCK = 1 << 16
+
 
 class SearchDisagreement(RuntimeError):
     """Fixed-iteration searches could not collect the solutions counting reported."""
@@ -679,17 +700,31 @@ def enumerate_solutions(
     # any of them is by e**-21.
     p = math.sin((2 * iterations + 1) * grover_angle(oracle.index_size, m_hat) / 2.0) ** 2
     max_attempts = max(64, math.ceil(m_hat * (math.log(m_hat) + 21) / p))
+    mask = oracle.mask
     while len(found) < m_hat:
         if runs >= max_attempts:
             raise SearchDisagreement(
                 f"collected {len(found)} of a counted {m_hat} solutions after "
                 f"{runs} searches; counting and search disagree"
             )
-        measured = grover_search(oracle, iterations, rng, backend)
-        calls += iterations
-        runs += 1
-        if oracle.predicate(measured):
-            found.add(measured)
+        # The runs come as a block. If the set completes inside it, the
+        # generator is rewound and only the runs used are drawn again, so it
+        # ends where drawing run by run up to the last find leaves it.
+        shots = min(max_attempts - runs, ENUMERATION_BLOCK)
+        saved = rng.bit_generator.state
+        draws = grover_search(oracle, iterations, rng, backend, shots=shots)
+        used = shots
+        hits = np.flatnonzero(mask[draws])
+        for run, index in zip(hits.tolist(), draws[hits].tolist()):
+            found.add(index)
+            if len(found) == m_hat:
+                used = run + 1
+                break
+        if used < shots:
+            rng.bit_generator.state = saved
+            grover_search(oracle, iterations, rng, backend, shots=used)
+        calls += iterations * used
+        runs += used
     return EnumerationResult(frozenset(found), estimate, calls, runs, doubled)
 
 

@@ -27,6 +27,14 @@ def test_resolution_finer_than_a_double_is_one_error_line(capsys, resolution):
     assert len(captured.err.splitlines()) == 1
 
 
+def test_repeat_is_refused_before_the_input_is_read(capsys, tmp_path):
+    code = main(["max-sharpe", "--input", str(tmp_path / "missing.csv"), "--repeat", "0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: --repeat must be >= 1"]
+
+
 # Counts argparse parsers (subparsers included) built by the import and by
 # each of three main calls: a slice, a usage error and a count.
 PARSER_PROBE = """

@@ -414,9 +414,105 @@ def test_enumerate_overcount_raises_search_disagreement(monkeypatch):
     # run cap with the one error the CLI maps to exit code 2
     real = search._median_count
     monkeypatch.setattr(search, "_median_count", lambda *a: (3, real(*a)[1]))
+    rng = np.random.default_rng(0)
     with pytest.raises(SearchDisagreement, match="collected 2 of a counted 3") as exc:
-        enumerate_solutions(direct_marking_oracle(3, {2, 5}), np.random.default_rng(0))
+        enumerate_solutions(direct_marking_oracle(3, {2, 5}), rng)
     assert isinstance(exc.value, RuntimeError)
+    reference = np.random.default_rng(0)
+    with pytest.raises(SearchDisagreement) as want:
+        scalar_enumeration(direct_marking_oracle(3, {2, 5}), reference)
+    assert str(exc.value) == str(want.value)  # the same number of runs
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def scalar_enumeration(oracle, rng, backend="effective"):
+    """``enumerate_solutions`` as it ran one ``grover_search`` call per run: the reference."""
+    calls = 0
+    doubled = False
+    while True:
+        m = m_exact(oracle.index_size) + search.ENUMERATION_EXTRA_BITS
+        m_hat, estimate = search._median_count(
+            oracle, m, rng, backend, search.ENUMERATION_SAMPLES
+        )
+        calls += search.ENUMERATION_SAMPLES * ((1 << m) - 1)
+        if m_hat == 0:
+            return search.EnumerationResult(frozenset(), estimate, calls, 0, doubled)
+        if doubled or m_hat <= oracle.index_size / 2:
+            break
+        oracle = oracle.doubled()
+        doubled = True
+
+    iterations = iteration_count(oracle.index_size, m_hat)
+    found: set[int] = set()
+    runs = 0
+    p = math.sin((2 * iterations + 1) * grover_angle(oracle.index_size, m_hat) / 2.0) ** 2
+    max_attempts = max(64, math.ceil(m_hat * (math.log(m_hat) + 21) / p))
+    while len(found) < m_hat:
+        if runs >= max_attempts:
+            raise SearchDisagreement(
+                f"collected {len(found)} of a counted {m_hat} solutions after "
+                f"{runs} searches; counting and search disagree"
+            )
+        measured = grover_search(oracle, iterations, rng, backend)
+        calls += iterations
+        runs += 1
+        if oracle.predicate(measured):
+            found.add(measured)
+    return search.EnumerationResult(frozenset(found), estimate, calls, runs, doubled)
+
+
+def enumeration_outcome(enumerate_, n, marked, backend, seed):
+    """Every field of an enumeration (or its error) and the generator's final state."""
+    rng = np.random.default_rng(seed)
+    try:
+        r = enumerate_(direct_marking_oracle(n, marked), rng, backend)
+        fields = (r.indices, r.oracle_calls, r.grover_runs, r.doubled, r.count_estimate.b)
+    except SearchDisagreement as exc:
+        fields = str(exc)
+    return fields, rng.bit_generator.state
+
+
+@st.composite
+def enumeration_masks(draw):
+    backend = draw(st.sampled_from(["effective", "dense"]))
+    n = draw(st.integers(1, 4 if backend == "dense" else 10))
+    size = 1 << n
+    favoured = st.sampled_from([0, 1, size // 2, size // 2 + 1, size])
+    count = draw(st.one_of(favoured, st.integers(0, size)))
+    marked = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).choice(
+        size, size=count, replace=False
+    )
+    # the module's block cap, and caps that split the runs across blocks
+    block = draw(st.sampled_from([search.ENUMERATION_BLOCK, 1, 7, 100]))
+    return backend, n, marked.tolist(), block
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=enumeration_masks(), seed=st.integers(0, 2**32 - 1))
+def test_block_enumeration_is_the_scalar_loop_on_random_masks(case, seed):
+    backend, n, marked, block = case
+    want = enumeration_outcome(scalar_enumeration, n, marked, backend, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "ENUMERATION_BLOCK", block)
+        got = enumeration_outcome(enumerate_solutions, n, marked, backend, seed)
+    assert got == want
+
+
+def test_enumeration_draws_its_runs_in_a_few_blocks(monkeypatch):
+    shots = []
+    real = search.grover_search
+
+    def counted(*args, **kwargs):
+        shots.append(kwargs.get("shots"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(search, "grover_search", counted)
+    marked = np.random.default_rng(6).choice(1024, size=100, replace=False).tolist()
+    result = enumerate_solutions(direct_marking_oracle(10, marked), np.random.default_rng(6))
+    assert result.indices == frozenset(marked)
+    assert result.grover_runs > 100
+    assert 1 <= len(shots) <= 4
+    assert all(k is not None and 1 <= k <= search.ENUMERATION_BLOCK for k in shots)
 
 
 @st.composite
@@ -643,8 +739,10 @@ class StubGenerator:
     def __init__(self, values):
         self.values = iter(values)
 
-    def random(self):
-        return float(next(self.values))
+    def random(self, size=None):
+        if size is None:
+            return float(next(self.values))
+        return np.array([next(self.values) for _ in range(size)], dtype=float)
 
 
 @pytest.mark.parametrize(
@@ -677,6 +775,20 @@ def test_effective_draw_on_every_cdf_boundary_is_searchsorted(n, marked, monkeyp
         for v in values:
             assert grover_search(oracle, j, rng) == int(cdf.searchsorted(v, side="right")), (j, v)
     assert fallbacks  # the CDF path really ran on values at the boundaries
+
+
+@pytest.mark.parametrize("backend", ["dense", "effective"])
+def test_shots_on_every_cdf_boundary_are_the_scalar_draws(backend):
+    oracle = direct_marking_oracle(3, (1, 4, 6))
+    for j in range(4):
+        probs = search._evolution(oracle, backend).probabilities(j)
+        cdf = (probs / probs.sum()).cumsum()
+        cdf /= cdf[-1]
+        values = np.concatenate([[0.0], cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0)])
+        values = values[values < 1.0]
+        want = [grover_search(oracle, j, StubGenerator([v]), backend) for v in values]
+        got = grover_search(oracle, j, StubGenerator(values), backend, shots=values.size)
+        assert got.tolist() == want, j
 
 
 def test_effective_draw_builds_no_cdf_away_from_the_boundaries(monkeypatch):
@@ -742,6 +854,31 @@ def test_dense_grover_search_draws_what_simulating_from_scratch_draws(name):
             want = dense_search_from_scratch(oracle, j, theirs)
             assert grover_search(oracle, j, ours, "dense") == want, (name, j)
             assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def block_cases():
+    effective = [(name, "effective", make) for name, make in stream_oracles().items()]
+    dense = [(name, "dense", make) for name, make in dense_stream_oracles().items()]
+    return {f"{backend} {name}": (backend, make) for name, backend, make in effective + dense}
+
+
+@pytest.mark.parametrize("case", list(block_cases()))
+def test_grover_search_shots_are_successive_scalar_draws(case):
+    backend, make = block_cases()[case]
+    block_oracle, scalar_oracle = make(), make()
+    ours, theirs = np.random.default_rng(79), np.random.default_rng(79)
+    for shots in (1, 2, 37):
+        for j in STREAM_ITERATIONS:
+            got = grover_search(block_oracle, j, ours, backend, shots=shots)
+            want = [grover_search(scalar_oracle, j, theirs, backend) for _ in range(shots)]
+            assert got.dtype.kind == "i" and got.tolist() == want, (j, shots)
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("shots", [0, -1])
+def test_grover_search_refuses_fewer_than_one_shot(shots):
+    with pytest.raises(ValueError, match="shots"):
+        grover_search(direct_marking_oracle(2, {1}), 1, np.random.default_rng(0), shots=shots)
 
 
 def test_dense_search_builds_one_operator_and_steps_to_the_largest_count(monkeypatch):
