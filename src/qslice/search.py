@@ -10,8 +10,9 @@ Each oracle memoises its Grover evolution on either backend (``_Evolution``):
 the furthest state G^j|psi> is stepped only when a larger j is asked for,
 and each j reached keeps a record that rebuilds its index-register
 probabilities bit for bit, so a search draws exactly what simulating from
-|psi> would. The effective backend finds that index from the closed-form CDF
-of its amplitude pair by one bisection, or from the CDF itself near a boundary.
+|psi> would. The effective backend finds that index as floor(v N) while the
+state is uniform, which takes no step, else from the closed-form CDF of its
+amplitude pair by one bisection, or from the CDF itself near a boundary.
 Enumeration's fixed-j runs are drawn as blocks located in that CDF at once.
 Dense counting steps the same operator: its register starts in |+>^m and
 only controls powers of G until the inverse QFT, so the joint state is
@@ -140,10 +141,6 @@ class _Evolution:
             self.records.append(self._record(self.state))
         return self.records[iterations]
 
-    def sample(self, iterations: int, rng: np.random.Generator) -> int:
-        """Measure the index register: the draw ``rng.choice(N, p=probs)`` makes."""
-        return self.locate(iterations, rng.random())
-
     def locate(self, iterations: int, v: float) -> int:
         """The index whose interval of the measurement CDF holds the uniform ``v``."""
         return int(self.cdf(iterations).searchsorted(v, side="right"))
@@ -175,7 +172,9 @@ class _EffectiveEvolution(_Evolution):
     rebuilds the whole vector and the CDF is F(i) = (p_in c(i) + p_out (i +
     1 - c(i))) / S, with c(i) the smaller class's indices up to i. ``v`` is
     located by one bisection over the weight before each of them (kept for
-    the last j) and by arithmetic in the gap after. Everything held is O(N).
+    the last j) and by arithmetic in the gap after. At j = 0, or with one class
+    empty, the state is uniform and F(i) = (i + 1) / N, so ``v`` is located
+    as floor(v N) with no record and no step. Everything held is O(N).
     """
 
     def __init__(self, mask: np.ndarray, index_bits: int):
@@ -218,6 +217,12 @@ class _EffectiveEvolution(_Evolution):
         return np.where(self.mask, a_marked, a_unmarked) ** 2
 
     def locate(self, iterations: int, v: float) -> int:
+        if iterations == 0 or None in self._probes:  # uniform: F(i) = (i + 1) / N
+            size, margin = self.mask.size, self._margin
+            i = int(v * size)  # exact, as are i / N and (i + 1) / N: N is a power of two
+            if i / size + margin <= v < (i + 1) / size - margin:
+                return i
+            return super().locate(iterations, v)
         if iterations != self._weights_iterations:
             pair = [float(a) * float(a) for a in self.record(iterations)]
             w_in, w_out = pair if self._small_is_marked else pair[::-1]
@@ -304,8 +309,8 @@ def grover_search(
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     evolution = _evolution(oracle, backend)
-    if shots is None:
-        return evolution.sample(iterations, rng)
+    if shots is None:  # the draw ``rng.choice(N, p=probs)`` makes
+        return evolution.locate(iterations, rng.random())
     if shots < 1:
         raise ValueError("shots must be >= 1")
     return evolution.cdf(iterations).searchsorted(rng.random(shots), side="right")
@@ -691,7 +696,7 @@ def enumerate_solutions(
         doubled = True
 
     iterations = iteration_count(oracle.index_size, m_hat)
-    found: set[int] = set()
+    found = np.empty(0, dtype=np.intp)
     runs = 0
     # A run succeeds with probability p = sin^2((2j+1) theta/2) (Boyer et
     # al. 1998) and then returns one of the m_hat solutions uniformly, so
@@ -700,11 +705,10 @@ def enumerate_solutions(
     # any of them is by e**-21.
     p = math.sin((2 * iterations + 1) * grover_angle(oracle.index_size, m_hat) / 2.0) ** 2
     max_attempts = max(64, math.ceil(m_hat * (math.log(m_hat) + 21) / p))
-    mask = oracle.mask
-    while len(found) < m_hat:
+    while found.size < m_hat:
         if runs >= max_attempts:
             raise SearchDisagreement(
-                f"collected {len(found)} of a counted {m_hat} solutions after "
+                f"collected {found.size} of a counted {m_hat} solutions after "
                 f"{runs} searches; counting and search disagree"
             )
         # The runs come as a block. If the set completes inside it, the
@@ -713,19 +717,21 @@ def enumerate_solutions(
         shots = min(max_attempts - runs, ENUMERATION_BLOCK)
         saved = rng.bit_generator.state
         draws = grover_search(oracle, iterations, rng, backend, shots=shots)
-        used = shots
-        hits = np.flatnonzero(mask[draws])
-        for run, index in zip(hits.tolist(), draws[hits].tolist()):
-            found.add(index)
-            if len(found) == m_hat:
-                used = run + 1
-                break
+        # the solutions new to this block, each at the run that first drew it;
+        # the set completes at the need-th of those runs, if the block holds it
+        hits = np.flatnonzero(oracle.mask[draws])
+        new, first = np.unique(draws[hits], return_index=True)
+        fresh = ~np.isin(new, found, assume_unique=True)
+        new, first = new[fresh], hits[first[fresh]]
+        need = m_hat - found.size
+        used = shots if new.size < need else int(np.partition(first, need - 1)[need - 1]) + 1
+        found = np.concatenate((found, new[first < used]))
         if used < shots:
             rng.bit_generator.state = saved
             grover_search(oracle, iterations, rng, backend, shots=used)
         calls += iterations * used
         runs += used
-    return EnumerationResult(frozenset(found), estimate, calls, runs, doubled)
+    return EnumerationResult(frozenset(found.tolist()), estimate, calls, runs, doubled)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,14 @@
 
 Every case runs ``qslice slice | max-sharpe | count`` in process and compares
 stdout byte for byte with ``golden_stdout.json``. The effective cases cover
-``fixtures/frontier8.csv`` and a 1000-row frontier generated here from a
-fixed seed, the dense cases the fixture at ``--resolution 0.1``; each runs at
-three CLI seeds. A change that alters which numbers a search draws, which
-index it measures or how many oracle calls it charges fails here; such a
-change must be deliberate, stated in CHANGES.md, and the goldens rewritten
-with ``PYTHONPATH=src python tests/test_golden.py --write``.
+``fixtures/frontier8.csv`` and a 1000-row and a 300-row frontier generated
+here from fixed seeds, the dense cases the fixture at ``--resolution 0.1``;
+each runs at three CLI seeds. The 300 rows pad to 2^9 indices, an odd width,
+where the stepped amplitudes of an oracle with no marked entry drift by an
+ulp. A change that alters which numbers a search draws, which index it
+measures or how many oracle calls it charges fails here; such a change must
+be deliberate, stated in CHANGES.md, and the goldens rewritten with
+``PYTHONPATH=src python tests/test_golden.py --write``.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ GOLDEN_PATH = HERE / "golden_stdout.json"
 FIXTURE = str(HERE.parent / "fixtures" / "frontier8.csv")
 
 SEEDS = (0, 7, 201)
-BIG_ROWS = 1000
-BIG_SEED = 1000
+#: The frontiers generated here, by name: (rows, generator seed).
+GENERATED = {"frontier1000": (1000, 1000), "frontier300": (300, 300)}
 
 #: Per frontier and case label: the CLI arguments besides input and seed. The
 #: wide cases mark more than half the rows, so their oracles are doubled.
@@ -46,6 +48,9 @@ COMMANDS = {
         "slice-wide": ("slice", "--return-min", "0.05", "--risk-max", "0.55"),
         "max-sharpe": ("max-sharpe", "--repeat", "3", "--rf", "0.01"),
         "count": ("count", "--return-min", "0.20", "--risk-max", "0.40"),
+    },
+    "frontier300": {
+        "max-sharpe": ("max-sharpe", "--repeat", "5"),
     },
 }
 
@@ -64,11 +69,11 @@ DENSE_COMMANDS = {
 }
 
 
-def write_big_frontier(path: Path) -> None:
+def write_frontier(path: Path, rows: int, seed: int) -> None:
     """A seeded frontier-like CSV: risk uniform, return growing with its square root."""
-    rng = np.random.default_rng(BIG_SEED)
-    sigma = rng.uniform(0.03, 0.6, BIG_ROWS)
-    ret = 0.6 * np.sqrt(sigma) * rng.uniform(0.4, 1.0, BIG_ROWS)
+    rng = np.random.default_rng(seed)
+    sigma = rng.uniform(0.03, 0.6, rows)
+    ret = 0.6 * np.sqrt(sigma) * rng.uniform(0.4, 1.0, rows)
     lines = ["id,expected_return,std_dev"]
     lines += [f"{i},{r:.6f},{s:.6f}" for i, (r, s) in enumerate(zip(ret, sigma))]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -96,11 +101,18 @@ def run_case(frontier: str, command: tuple, seed: int, paths: dict) -> str:
     return out.getvalue()
 
 
+def generated_paths(directory: Path) -> dict:
+    """Every frontier by name, the generated ones written into ``directory``."""
+    paths = {"frontier8": FIXTURE}
+    for name, (rows, seed) in GENERATED.items():
+        write_frontier(directory / f"{name}.csv", rows, seed)
+        paths[name] = str(directory / f"{name}.csv")
+    return paths
+
+
 @pytest.fixture(scope="module")
 def paths(tmp_path_factory):
-    big = tmp_path_factory.mktemp("golden") / "frontier1000.csv"
-    write_big_frontier(big)
-    return {"frontier8": FIXTURE, "frontier1000": str(big)}
+    return generated_paths(tmp_path_factory.mktemp("golden"))
 
 
 @pytest.fixture(scope="module")
@@ -132,9 +144,7 @@ if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        big = Path(tmp) / "frontier1000.csv"
-        write_big_frontier(big)
-        paths = {"frontier8": FIXTURE, "frontier1000": str(big)}
+        paths = generated_paths(Path(tmp))
         result = {name: run_case(f, c, s, paths) for name, f, c, s in cases()}
     GOLDEN_PATH.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(result)} cases to {GOLDEN_PATH}")

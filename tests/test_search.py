@@ -498,6 +498,27 @@ def test_block_enumeration_is_the_scalar_loop_on_random_masks(case, seed):
     assert got == want
 
 
+@pytest.mark.parametrize("block", [search.ENUMERATION_BLOCK, 1, 7, 100])
+def test_block_enumeration_is_the_scalar_loop_on_an_undercount(block, monkeypatch):
+    # Counting reports half the solutions: the set completes before every
+    # solution is drawn, and a block may hold new ones past that run.
+    real = search._median_count
+
+    def halved(*args):
+        m_hat, estimate = real(*args)
+        return max(1, m_hat // 2), estimate
+
+    monkeypatch.setattr(search, "_median_count", halved)
+    monkeypatch.setattr(search, "ENUMERATION_BLOCK", block)
+    gen = np.random.default_rng(block)
+    for n in (3, 6, 9):
+        for count in (2, 3, (1 << n) // 4):
+            marked = gen.choice(1 << n, size=count, replace=False).tolist()
+            seed = int(gen.integers(2**32))
+            want = enumeration_outcome(scalar_enumeration, n, marked, "effective", seed)
+            assert enumeration_outcome(enumerate_solutions, n, marked, "effective", seed) == want
+
+
 def test_enumeration_draws_its_runs_in_a_few_blocks(monkeypatch):
     shots = []
     real = search.grover_search
@@ -753,6 +774,13 @@ class StubGenerator:
         (5, ()),
         (5, tuple(range(32))),
         (4, (0, 5, 10, 15)),  # M = N/4: no unmarked mass at j = 1
+        # odd widths with one class empty: the state stays uniform, but its
+        # stepped amplitudes drift by an ulp from j = 1 on
+        (7, ()),
+        (7, tuple(range(128))),
+        (9, ()),
+        (9, tuple(range(512))),
+        (7, (2, 3, 5, 7, 11, 64, 100)),  # j = 0 is uniform on a mask neither empty nor full
     ],
 )
 def test_effective_draw_on_every_cdf_boundary_is_searchsorted(n, marked, monkeypatch):
@@ -804,6 +832,100 @@ def test_effective_draw_builds_no_cdf_away_from_the_boundaries(monkeypatch):
         for j in (0, 1, 2, 5, int(2 * math.sqrt(1 << n)) + 2):
             for _ in range(300):
                 grover_search(oracle, j, rng)
+
+
+def test_qes_on_an_empty_oracle_steps_nothing(monkeypatch):
+    # With no marked index the state is uniform at every j, so a round draws
+    # floor(v N): only a v within the margin of a boundary takes the CDF
+    # path, which records its j and steps the state there.
+    cdf_path = []
+    reference_locate = search._Evolution.locate
+
+    def counted(self, iterations, v):
+        cdf_path.append(v)
+        return reference_locate(self, iterations, v)
+
+    monkeypatch.setattr(search._Evolution, "locate", counted)
+    clean = 0
+    for seed in range(50):
+        cdf_path.clear()
+        oracle = direct_marking_oracle(12, ())
+        outcome = qes(oracle, np.random.default_rng(seed))
+        assert outcome.timed_out and max(r.iterations for r in outcome.rounds) > 1
+        if not cdf_path:
+            clean += 1
+            assert len(oracle.evolution.records) == 1, seed
+    assert clean >= 45
+
+
+class Spawner:
+    """A master generator that keeps the children it spawns."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.children = []
+
+    def spawn(self, count):
+        self.children = self.rng.spawn(count)
+        return self.children
+
+
+def choice_cdf(probs):
+    """The CDF ``rng.choice(probs.size, p=probs / probs.sum())`` searches its uniforms in."""
+    cdf = (probs / probs.sum()).cumsum()
+    return cdf / cdf[-1]
+
+
+def reference_gas(table, direction, master, repetitions):
+    """``gas`` on the effective backend, each round drawn by ``searchsorted``
+    in the CDF of probabilities stepped from |psi>, as ``rng.choice`` draws."""
+    values = np.asarray(table.values)
+    n_space = values.size
+    budget, per_qes = gas_budget(n_space), default_qes_budget(n_space)
+    better = np.greater if direction == "max" else np.less
+    best, total, logs = None, 0, []
+    for child in master.spawn(repetitions):
+        j = start = int(child.integers(0, n_space))
+        calls = improvements = 0
+        cdfs = None
+        while calls <= budget:
+            if cdfs is None:
+                oracle = direct_marking_oracle(table.n, np.flatnonzero(better(values, values[j])))
+                probs = stepped_probabilities(oracle, [math.ceil(math.sqrt(n_space))])
+                cdfs = {k: choice_cdf(p) for k, p in probs.items()}
+            sub_budget = max(1, min(per_qes, math.ceil(budget - calls)))
+            bound, used, found = 1.0, 0, None
+            while used <= sub_budget:
+                k = int(child.integers(0, math.ceil(bound)))
+                measured = int(cdfs[k].searchsorted(child.random(), side="right"))
+                used += k
+                if better(values[measured], values[j]):
+                    found = measured
+                    break
+                bound = min(8.0 / 7.0 * bound, math.sqrt(n_space))
+            calls += used
+            if found is not None:
+                j, improvements, cdfs = found, improvements + 1, None
+        logs.append(search.RepetitionLog(start, j, calls, improvements))
+        total += calls
+        if best is None or better(values[j], values[best]):
+            best = j
+    return best, int(values[best]), total, logs
+
+
+@pytest.mark.parametrize("n", range(5, 12))
+def test_effective_gas_is_the_stepped_choice_loop(n):
+    gen = np.random.default_rng(100 + n)
+    for bits, direction in ((6, "max"), (3, "min"), (9, "max")):
+        table = ValueTable(bits, gen.integers(0, 1 << bits, 1 << n).tolist())
+        seed = int(gen.integers(2**32))
+        ours, theirs = Spawner(seed), Spawner(seed)
+        result = gas(table, direction, ours, 4)
+        got = (result.index, result.value, result.oracle_calls, result.repetitions)
+        assert got == reference_gas(table, direction, theirs, 4), (bits, direction)
+        assert ours.rng.bit_generator.state == theirs.rng.bit_generator.state
+        for mine, reference in zip(ours.children, theirs.children, strict=True):
+            assert mine.bit_generator.state == reference.bit_generator.state
 
 
 def test_effective_draw_with_no_unmarked_mass():
