@@ -14,12 +14,12 @@ probabilities bit for bit, so a search draws exactly what simulating from
 state is uniform, which takes no step, else from the closed-form CDF of its
 amplitude pair by one bisection, or from the CDF itself near a boundary.
 Enumeration's fixed-j runs are drawn as blocks located in that CDF at once.
-Dense counting steps the same operator: its register starts in |+>^m and
-only controls powers of G until the inverse QFT, so the joint state is
-sum_c |c> G^c|psi> / 2^(m/2), built row by row from 2^m - 1 steps on the
-workspace alone. Effective counting evaluates one phase-estimation kernel
-and mirrors it. On both backends a count's outcome and its further samples
-come from one CDF, as ``rng.choice`` draws them.
+Dense counting reads the same memo: its register law depends only on the
+overlaps r(k) = <psi|G^k psi>, k < 2^m, recorded next to each marginal, and
+follows from them by one FFT, with no register qubit simulated. Effective
+counting evaluates one phase-estimation kernel and mirrors it. On both
+backends a count's outcome and its further samples come from one CDF, as
+``rng.choice`` draws them.
 
 Sampling is deterministic for a given ``numpy.random.Generator``; independent
 repetitions derive child generators by spawning, so runs are reproducible
@@ -249,30 +249,33 @@ class _EffectiveEvolution(_Evolution):
 
 
 class _DenseEvolution(_Evolution):
-    """The whole workspace statevector, recorded as its index marginal per j.
+    """The whole workspace statevector, recorded per j as its index marginal
+    and its overlap r(j) = <psi|G^j psi>.
 
-    The Grover operator is built once. Only the furthest state is kept,
-    with one 2^n marginal per j reached.
+    The Grover operator is built once and only the furthest state is kept.
+    |psi> is nonzero on at most 2^(n+1) entries (a uniform index register,
+    every other qubit in its reference bit, the oracle qubit in |->), so each
+    overlap is an ``einsum`` over them, which unlike ``np.vdot`` calls no BLAS.
     """
 
     def __init__(self, oracle: OracleCircuit):
+        # a workspace above the dense cap is refused before anything is built
+        psi = sim.apply(sim.new_basis_state(oracle.num_qubits, 0), oracle.prep_circuit)
         self.operator = grover_operator(oracle)
         self.index = oracle.layout.index
-        super().__init__(_prepared_state(oracle))
+        self._support = np.flatnonzero(psi.amplitudes)
+        self._bra = psi.amplitudes[self._support].conj()
+        super().__init__(psi)
 
     def step(self, state: sim.StateVector) -> sim.StateVector:
         return sim.apply(state, self.operator)
 
-    def _record(self, state: sim.StateVector) -> np.ndarray:
-        return sim.subregister_distribution(state, self.index)
+    def _record(self, state: sim.StateVector) -> tuple[np.ndarray, complex]:
+        overlap = np.einsum("i,i", self._bra, state.amplitudes[self._support])
+        return sim.subregister_distribution(state, self.index), complex(overlap)
 
     def probabilities(self, iterations: int) -> np.ndarray:
-        return self.record(iterations)
-
-
-def _prepared_state(oracle: OracleCircuit) -> sim.StateVector:
-    """|psi>: the oracle's prepared workspace."""
-    return sim.apply(sim.new_basis_state(oracle.num_qubits, 0), oracle.prep_circuit)
+        return self.record(iterations)[0]
 
 
 def _evolution(oracle: OracleCircuit, backend: str = "effective") -> _Evolution:
@@ -494,6 +497,14 @@ def t_for_resolution(d: float) -> int:
     return math.ceil(math.log2(inverse))
 
 
+def _check_register_cap(m: int) -> None:
+    # on either backend, before a 2^m law is allocated or 2^m - 1 steps taken
+    if m > sim.DENSE_QUBIT_CAP:
+        raise sim.CapacityError(
+            f"counting register of {m} qubits is above the dense cap {sim.DENSE_QUBIT_CAP}"
+        )
+
+
 def qpe_distribution(phase_turns: float, m: int) -> np.ndarray:
     """Exact m-bit phase-estimation outcome distribution for one eigenphase.
 
@@ -503,10 +514,7 @@ def qpe_distribution(phase_turns: float, m: int) -> np.ndarray:
     2^m), so only the denominator takes a pass over the outcomes. A register
     above ``sim.DENSE_QUBIT_CAP`` qubits is refused before it is allocated.
     """
-    if m > sim.DENSE_QUBIT_CAP:
-        raise sim.CapacityError(
-            f"counting register of {m} qubits is above the cap {sim.DENSE_QUBIT_CAP}"
-        )
+    _check_register_cap(m)
     size = 1 << m
     phi = phase_turns % 1.0
     x = phi * size
@@ -562,10 +570,9 @@ def quantum_counting(
 
     Returns the exact outcome distribution and one sample drawn from its CDF
     (kept on the estimate for further samples), as ``rng.choice`` draws it.
-    On the dense backend the register's branches G^c|psi> are stepped on the
-    oracle workspace and the inverse QFT runs over register and workspace;
-    on the effective backend the distribution follows from the two
-    eigenphases directly.
+    The dense law follows from the overlaps <psi|G^k psi>, k < 2^m, that the
+    oracle's Grover-evolution memo records, so a later search with j < 2^m
+    steps nothing; the effective law follows from the two eigenphases.
     """
     _check_backend(backend)
     if m < 1:
@@ -592,36 +599,20 @@ def quantum_counting(
 
 
 def _dense_counting_distribution(oracle: OracleCircuit, m: int) -> np.ndarray:
-    work = oracle.num_qubits
-    nq = work + m
-    if nq > sim.DENSE_QUBIT_CAP:
-        raise sim.CapacityError(
-            f"counting needs {nq} qubits, above the dense cap {sim.DENSE_QUBIT_CAP}"
-        )
-    counting = list(range(work, nq))
-    joint = sim.StateVector(nq, _counting_branches(oracle, m).reshape(-1))
-    # in place: the branch buffer is the only joint-sized state held
-    state = sim.apply(joint, sim.inverse_qft_circuit(counting, nq), in_place=True)
-    return sim.subregister_distribution(state, counting)
+    """The register law from the overlaps r(k) = <psi|G^k psi>, k < 2^m.
 
-
-def _counting_branches(oracle: OracleCircuit, m: int) -> np.ndarray:
-    """The counting register and workspace before the inverse QFT, as (2^m, 2^w) rows.
-
-    The register starts in |+>^m and only controls G^(2^j) until the
-    inverse QFT, so the joint state is sum_c |c> G^c|psi> / 2^(m/2). The
-    register is the top m qubits, so row c is branch c: G stepped c times
-    on the workspace alone, 2^m - 1 steps in all.
+    Before the inverse QFT the joint state is sum_c |c> G^c|psi> / 2^(m/2), so
+    P(b) = 4^-m sum_{c,c'} e^(-2 pi i b (c - c') / 2^m) r(c - c'), with r(-k)
+    the conjugate of r(k). Summing the 2^m - k pairs at each lag k >= 0 gives
+    P(b) = 4^-m (2 Re FFT(a)_b - a_0), a_k = (2^m - k) r(k), clipped at 0.
     """
+    _check_register_cap(m)
     evolution = _evolution(oracle, "dense")
-    state = _prepared_state(oracle)
-    branches = np.empty((1 << m, state.amplitudes.size), dtype=np.complex128)
-    branches[0] = state.amplitudes
-    for c in range(1, 1 << m):
-        state = evolution.step(state)
-        branches[c] = state.amplitudes
-    branches *= 2.0 ** (-0.5 * m)
-    return branches
+    size = 1 << m
+    overlaps = np.fromiter((evolution.record(k)[1] for k in range(size)), complex, size)
+    lags = overlaps * np.arange(size, 0, -1)
+    dist = (2.0 * np.fft.fft(lags).real - lags[0].real) / float(size * size)
+    return np.maximum(dist, 0.0, out=dist)
 
 
 # ---------------------------------------------------------------------------
@@ -766,7 +757,6 @@ def gas(
     rng: np.random.Generator,
     repetitions: int,
     backend: str = "effective",
-    counting_termination: bool = False,
 ) -> GasResult:
     """Adaptive search for the extremal table entry.
 
@@ -777,9 +767,6 @@ def gas(
     exceed the per-repetition budget. The best index over ``repetitions``
     independent repetitions is returned; success probability is at least
     1 - 1/2**repetitions.
-
-    With ``counting_termination`` a solution-detection count runs before each
-    search and ends the repetition early when no better entry exists.
     """
     if direction not in ("min", "max"):
         raise ValueError("direction must be 'min' or 'max'")
@@ -806,11 +793,6 @@ def gas(
         while calls <= budget:
             if oracle is None:  # a new threshold; otherwise its evolution is reused
                 oracle = single_list_oracle(values, values[j], op)
-            if counting_termination:
-                check = quantum_counting(oracle, m_detect(n_space), child, backend)
-                calls += (1 << check.m) - 1
-                if check.m_rounded == 0:
-                    break
             remaining = budget - calls
             sub_budget = max(1, min(per_qes, math.ceil(remaining)))
             outcome = qes(oracle, child, sub_budget, backend)

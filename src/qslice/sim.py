@@ -274,13 +274,13 @@ class StateVector:
         return np.abs(self.amplitudes) ** 2
 
 
-def new_basis_state(num_qubits: int, basis_index: int, cap: int = DENSE_QUBIT_CAP) -> StateVector:
+def new_basis_state(num_qubits: int, basis_index: int) -> StateVector:
     """Computational basis state |basis_index> on ``num_qubits`` qubits."""
     if num_qubits < 1:
         raise ValueError("num_qubits must be >= 1")
-    if num_qubits > cap:
+    if num_qubits > DENSE_QUBIT_CAP:
         raise CapacityError(
-            f"{num_qubits} qubits exceeds the dense simulation cap of {cap}"
+            f"{num_qubits} qubits exceeds the dense cap of {DENSE_QUBIT_CAP}"
         )
     dim = 1 << num_qubits
     if not 0 <= basis_index < dim:
@@ -356,21 +356,20 @@ def _apply_gate(tensor: np.ndarray, num_qubits: int, gate: Gate, offset: int = 0
         view *= factors.reshape((2,) * k).transpose(np.argsort(axes)).reshape(shape)
 
 
-def apply(state: StateVector, circuit: Circuit, in_place: bool = False) -> StateVector:
+def apply(state: StateVector, circuit: Circuit) -> StateVector:
     """Apply the circuit's compiled stages in order; returns a norm-checked state.
 
-    The stages act on a copy of the amplitudes, or with ``in_place`` on
-    ``state``'s own array, which the result then shares: one state-sized
-    array fewer when the input is not needed again. Fused stages work
-    through ``_CHUNK`` amplitudes of scratch; a gate run alone copies what
-    the reference kernel copies.
+    The stages act on a copy of the amplitudes. Fused stages work through
+    ``_CHUNK`` amplitudes of scratch; a gate run alone copies what the
+    reference kernel copies.
     """
     if circuit.num_qubits != state.num_qubits:
         raise ValueError(
             f"circuit has {circuit.num_qubits} qubits, state has {state.num_qubits}"
         )
-    amps = state.amplitudes if in_place else state.amplitudes.copy()
-    scratch = np.empty(min(amps.size, _CHUNK), dtype=np.complex128)
+    # scratch first, below the result: its freed block is reused, not trimmed
+    scratch = np.empty(min(state.amplitudes.size, _CHUNK), dtype=np.complex128)
+    amps = state.amplitudes.copy()
     for stage in circuit.stages:
         stage.run(amps, scratch)
     out = StateVector(state.num_qubits, amps)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -232,3 +233,35 @@ def test_max_sharpe_ending_on_an_untied_padding_row_exits_1(capsys, monkeypatch,
     assert out == ""
     assert err.startswith("error: adaptive search ended on a padding row")
     assert len(err.splitlines()) == 1
+
+
+def test_dense_slice_holds_only_the_workspace(capsys, tmp_path):
+    # 4 rows at t = 2: a 15-qubit two-list oracle and a 7-qubit counting
+    # register, whose joint state would be 2^22 amplitudes (64 MiB)
+    frontier = tmp_path / "frontier4.csv"
+    frontier.write_text(
+        "id,expected_return,std_dev\n"
+        "10,0.05,0.10\n11,0.30,0.20\n12,0.55,0.45\n13,0.70,0.70\n"
+    )
+    args = ("slice", "--input", str(frontier), "--resolution", "0.3",
+            "--return-min", "0.2", "--risk-max", "0.7", "--seed", "3")
+    code, out, _ = run_cli(capsys, *args, "--backend", "effective")
+    assert code == 0
+    effective = json.loads(out)
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, *args, "--backend", "dense")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    dense = json.loads(out)
+    from qslice import load_frontier
+
+    with open(frontier) as handle:
+        want = sorted(classical_slice_ids(load_frontier(handle, 2), 0.2, 0.7))
+    assert want == [12]
+    assert dense["selected_ids"] == effective["selected_ids"] == want
+    assert dense["qubit_layout"]["num_qubits"] == 15
+    assert dense["count_estimate"]["m"] == 7
+    assert peak < 16 << 20

@@ -220,13 +220,14 @@ def test_t_for_resolution():
             t_for_resolution(d)
 
 
-def test_counting_register_above_the_cap_is_refused_before_allocating():
+@pytest.mark.parametrize("backend", ["dense", "effective"])
+def test_counting_register_above_the_cap_is_refused_before_allocating(backend):
     oracle = direct_marking_oracle(3, {1})
     oracle.marked_set  # built outside the traced window
     tracemalloc.start()
     try:
-        with pytest.raises(sim.CapacityError):
-            quantum_counting(oracle, sim.DENSE_QUBIT_CAP + 1, np.random.default_rng(0))
+        with pytest.raises(sim.CapacityError, match="dense cap"):
+            quantum_counting(oracle, sim.DENSE_QUBIT_CAP + 1, np.random.default_rng(0), backend)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1065,6 +1066,10 @@ def test_dense_counting_matches_the_lifted_circuit(m, monkeypatch):
             assert sum(c is op for c in applied) == (1 << m) - 1, name
             want = lifted_counting_distribution(oracle, m)
             assert np.max(np.abs(got - want)) < 1e-12, (name, seed)
+            # the count stepped the memo a search shares
+            applied.clear()
+            grover_search(oracle, (1 << m) - 1, np.random.default_rng(0), "dense")
+            assert sum(c is op for c in applied) == 0, name
 
 
 # ---------------------------------------------------------------------------
@@ -1092,14 +1097,6 @@ def test_gas_budget_respected():
         result = gas(vt, "max", np.random.default_rng(seed), 2)
         for rep in result.repetitions:
             assert rep.oracle_calls <= limit
-
-
-def test_gas_counting_termination_mode():
-    vt = ValueTable(3, (1, 5, 3, 7))
-    result = gas(
-        vt, "max", np.random.default_rng(4), 2, counting_termination=True
-    )
-    assert result.index == 3
 
 
 def test_gas_validation():
