@@ -50,55 +50,64 @@ EFFECTIVE_INDEX_CAP = 24
 
 
 class ValueTable:
-    """N = 2**n quantized values, each a t-bit integer representing b/2**t."""
+    """N = 2**n quantized values, each a t-bit integer representing b/2**t.
 
-    def __init__(self, bits: int, values: Sequence[int]):
+    The values are held as a read-only int64 array. An int64 array given
+    to the constructor is not copied: the table holds a read-only view.
+    """
+
+    def __init__(self, bits: int, values: Sequence[int] | np.ndarray):
         if bits < 1:
             raise ValueError("bits must be >= 1")
-        vals = tuple(map(int, values))
-        if len(vals) < 2 or len(vals) & (len(vals) - 1):
-            raise ValueError(f"table length {len(vals)} is not a power of two, >= 2")
         limit = 1 << bits
-        if min(vals) < 0 or max(vals) >= limit:
-            bad = next(v for v in vals if not 0 <= v < limit)
+        if isinstance(values, np.ndarray) and values.dtype == np.int64:
+            outside = values[(values < 0) | (values >= limit)]
+            bad = int(outside[0]) if outside.size else None
+        else:
+            values = tuple(map(int, values))
+            # checked as Python ints: one beyond int64 would overflow the array
+            bad = next((v for v in values if not 0 <= v < limit), None)
+        if len(values) < 2 or len(values) & (len(values) - 1):
+            raise ValueError(f"table length {len(values)} is not a power of two, >= 2")
+        if bad is not None:
             raise ValueError(f"value {bad} does not fit in {bits} bits")
         self.bits = bits
-        self.values = vals
+        self.array = np.asarray(values, dtype=np.int64).view()
+        self.array.flags.writeable = False
+
+    @cached_property
+    def values(self) -> tuple[int, ...]:
+        return tuple(self.array.tolist())
 
     @property
     def n(self) -> int:
-        return (len(self.values) - 1).bit_length()
+        return (self.size - 1).bit_length()
 
     @property
     def size(self) -> int:
-        return len(self.values)
-
-    @cached_property
-    def _array(self) -> np.ndarray:
-        """The values as an integer array, for whole-table comparisons."""
-        return np.asarray(self.values, dtype=np.int64)
+        return self.array.size
 
     def fractions(self) -> np.ndarray:
         """The encoded values as exact fractions in [0, 1)."""
-        return np.asarray(self.values, dtype=float) / float(1 << self.bits)
+        return self.array / float(1 << self.bits)
 
     def padded(self, sentinel: int) -> "ValueTable":
         """Double the table, filling the upper half with a sentinel value."""
-        return ValueTable(self.bits, self.values + (int(sentinel),) * self.size)
+        return ValueTable(self.bits, np.concatenate([self.array, np.full(self.size, sentinel)]))
 
     def __getitem__(self, k: int) -> int:
         return self.values[k]
 
     def __len__(self) -> int:
-        return len(self.values)
+        return self.size
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ValueTable):
             return NotImplemented
-        return self.bits == other.bits and self.values == other.values
+        return self.bits == other.bits and np.array_equal(self.array, other.array)
 
     def __hash__(self) -> int:
-        return hash((self.bits, self.values))
+        return hash((self.bits, self.array.tobytes()))
 
     def __repr__(self) -> str:
         return f"ValueTable(bits={self.bits}, n={self.n}, values={self.values!r})"
@@ -254,7 +263,7 @@ class Atom:
 
     def mask(self) -> np.ndarray:
         """Boolean array over the indices: table[k] <op> threshold."""
-        return _COMPARATORS[self.op][1](self.table._array, self.threshold)
+        return _COMPARATORS[self.op][1](self.table.array, self.threshold)
 
 
 def greater_than(table: ValueTable, threshold: int) -> Atom:

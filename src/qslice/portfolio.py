@@ -13,6 +13,7 @@ quantum counting.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import operator
 import sys
@@ -91,6 +92,11 @@ def quantize(value: float, t: int) -> int:
 
 def quantize_array(values: Sequence[float] | np.ndarray, t: int) -> list[int]:
     """``quantize`` of every value, in one numpy pass."""
+    return _quantized(values, t).tolist()
+
+
+def _quantized(values: Sequence[float] | np.ndarray, t: int) -> np.ndarray:
+    """``quantize_array`` as an int64 array."""
     values = np.asarray(values, dtype=float)
     outside = values[~((values >= 0.0) & (values < 1.0))]
     if outside.size:
@@ -99,10 +105,21 @@ def quantize_array(values: Sequence[float] | np.ndarray, t: int) -> list[int]:
     if not 1 <= t <= sys.float_info.mant_dig:
         raise ValueError(f"t must lie in [1, {sys.float_info.mant_dig}]")
     scale = float(1 << t)
-    return np.minimum(np.floor(values * scale + 0.5), scale - 1.0).astype(np.int64).tolist()
+    return np.minimum(np.floor(values * scale + 0.5), scale - 1.0).astype(np.int64)
+
+
+def _padded(values: np.ndarray, size: int, sentinel: int) -> np.ndarray:
+    """``values`` followed by ``sentinel`` up to ``size`` entries."""
+    out = np.full(size, sentinel, dtype=np.int64)
+    out[: values.size] = values
+    return out
 
 
 _HEADER = ("id", "expected_return", "std_dev")
+
+
+def _is_header(cells: Sequence[str]) -> bool:
+    return tuple(map(str.strip, cells)) == _HEADER
 
 
 def _parsed(cells: Sequence[str], convert) -> list:
@@ -128,20 +145,85 @@ def _first(bad: np.ndarray) -> int:
 def load_frontier(source: TextIO, t: int) -> FrontierTable:
     """Parse and validate frontier CSV, pad to a power of two, quantize.
 
+    Well-formed input is parsed in one pass by numpy's text reader. Any
+    input that reader declines is read row by row, with the same result or
+    the error that reading meets first.
+    """
+    text = source.read()
+    ids, rets, stds = _read_fast(text) or _read_rows(text)
+    if t < 1:
+        raise ValueError("t must be >= 1")
+
+    padded_n = max(1, math.ceil(math.log2(len(ids))))
+    size = 1 << padded_n
+    return FrontierTable(
+        ids=tuple(ids),
+        expected_returns=tuple(rets.tolist()),
+        std_devs=tuple(stds.tolist()),
+        t=t,
+        padded_n=padded_n,
+        returns=ValueTable(t, _padded(_quantized(rets, t), size, 0)),
+        sigmas=ValueTable(t, _padded(_quantized(stds, t), size, (1 << t) - 1)),
+    )
+
+
+_ROW = np.dtype([("id", np.int64), ("expected_return", np.float64), ("std_dev", np.float64)])
+
+
+def _read_fast(text: str) -> tuple[list[int], np.ndarray, np.ndarray] | None:
+    """The columns of a well-formed frontier, or None to leave the text to ``_read_rows``.
+
+    numpy's C reader converts each float with the routine ``float()`` uses
+    and reads a subset of the ids ``int()`` reads. It raises on what ``csv``
+    and ``int()`` read differently: whitespace-only lines, quoted fields,
+    lone ``\r`` line ends, ids with ``_``, non-ASCII digits or beyond int64.
+    Those texts are declined, and so are texts that fail a range or
+    duplicate check, so that the row-by-row reader names the row at fault.
+    """
+    lines = text.split("\n")
+    head = lines[0].removesuffix("\r")
+    if "\r" in head or not _is_header(head.split(",")):
+        return None
+    body = lines[1:]
+    if not any(map(str.strip, body)):  # numpy warns on input with no data
+        return None
+    # numpy strips these around a number, like other whitespace; int() and float() refuse them
+    if any(char in text for char in "\x1c\x1d\x1e\x1f"):
+        return None
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, lines)) > limit:  # csv refuses such a field
+        return None
+    try:
+        rows = np.loadtxt(body, delimiter=",", dtype=_ROW, comments=None, ndmin=1)
+    except ValueError:
+        return None
+    ids, rets, stds = rows["id"], rows["expected_return"], rows["std_dev"]
+    in_range = (rets >= 0.0) & (rets < 1.0) & (stds > 0.0) & (stds < 1.0)
+    ordered = np.sort(ids)  # faster than np.unique on int64
+    if not in_range.all() or (ordered[1:] == ordered[:-1]).any():
+        return None
+    return ids.tolist(), rets, stds
+
+
+def _read_rows(text: str) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The columns of a frontier read row by row, or the error met first.
+
     Each column is converted in one pass. A failed check raises the error
     a row-by-row reading would meet first: the earliest bad row, and on
     it the first of field count, id, return, risk, ranges and duplicates.
     """
-    reader = csv.reader(source)
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise FrontierFormatError("empty input") from None
-    if tuple(col.strip() for col in header) != _HEADER:
-        raise FrontierFormatError(
-            f"line 1: expected header {','.join(_HEADER)!r}, got {','.join(header)!r}"
-        )
-    rows = list(reader)
+        header = next(reader, None)
+        if header is None:
+            raise FrontierFormatError("empty input")
+        if not _is_header(header):
+            raise FrontierFormatError(
+                f"line 1: expected header {','.join(_HEADER)!r}, got {','.join(header)!r}"
+            )
+        rows = list(reader)
+    except csv.Error as exc:
+        raise FrontierFormatError(f"line {reader.line_num}: {exc}") from None
     # blank rows are skipped, but still count as lines
     filled = np.fromiter(map(bool, map(str.strip, map("".join, rows))), bool, len(rows))
     lines = np.flatnonzero(filled) + 2
@@ -174,23 +256,7 @@ def load_frontier(source: TextIO, t: int) -> FrontierTable:
         raise FrontierFormatError(f"line {lines[row]}: {message(row)}")
     if not rows:
         raise FrontierFormatError("no data rows")
-    if t < 1:
-        raise ValueError("t must be >= 1")
-
-    padded_n = max(1, math.ceil(math.log2(len(rows))))
-    size = 1 << padded_n
-    sentinel_sigma = (1 << t) - 1
-    ret_vals = quantize_array(rets, t) + [0] * (size - len(rows))
-    sig_vals = quantize_array(stds, t) + [sentinel_sigma] * (size - len(rows))
-    return FrontierTable(
-        ids=tuple(ids),
-        expected_returns=tuple(ret_list),
-        std_devs=tuple(std_list),
-        t=t,
-        padded_n=padded_n,
-        returns=ValueTable(t, ret_vals),
-        sigmas=ValueTable(t, sig_vals),
-    )
+    return ids, rets, stds
 
 
 def sharpe_values(table: FrontierTable, risk_free_rate: float) -> ValueTable:
@@ -210,16 +276,15 @@ def sharpe_values(table: FrontierTable, risk_free_rate: float) -> ValueTable:
     raw = (returns - risk_free_rate) / sigmas
     clamped = int(np.count_nonzero(raw < 0.0))
     if bound <= 0.0:
-        values = [0] * len(raw)
+        values = np.zeros(raw.size, dtype=np.int64)
     else:
-        values = quantize_array(np.maximum(raw, 0.0) / (bound * (1.0 + 2.0**-t)), t)
+        values = _quantized(np.maximum(raw, 0.0) / (bound * (1.0 + 2.0**-t)), t)
     if clamped:
         warnings.warn(
             f"{clamped} portfolio(s) had negative Sharpe ratio and were clamped to 0",
             stacklevel=2,
         )
-    values += [0] * table.sentinel_count
-    return ValueTable(t, values)
+    return ValueTable(t, _padded(values, table.size, 0))
 
 
 @dataclass

@@ -55,6 +55,19 @@ def test_slice_unreadable_input(capsys):
     assert "error" in err
 
 
+def test_oversized_field_exits_1_with_one_error_line(capsys, tmp_path):
+    # a number numpy would read, but longer than csv's field size limit
+    path = tmp_path / "wide.csv"
+    path.write_text("id,expected_return,std_dev\n0,0.5,0.2\n1,0." + "5" * 200_000 + ",0.2\n")
+    code, out, err = run_cli(
+        capsys, "slice", "--input", str(path), "--return-min", "0.1", "--risk-max", "0.5",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: line 3: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_max_sharpe_fixture_and_determinism(capsys):
     args = ("max-sharpe", "--input", FIXTURE, "--seed", "1", "--repeat", "5")
     code, first, _ = run_cli(capsys, *args)

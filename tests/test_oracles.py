@@ -63,6 +63,8 @@ def test_value_table_validation():
         ValueTable(3, (1,))  # a single entry leaves no index register
     with pytest.raises(ValueError):
         ValueTable(2, (4, 0, 0, 0))  # out of range
+    with pytest.raises(ValueError, match="does not fit in 2 bits"):
+        ValueTable(2, (2**70, 0, 0, 0))  # beyond int64 too
     vt = ValueTable(3, (1, 5, 3, 7))
     assert vt.n == 2 and vt.size == 4
     assert np.allclose(vt.fractions(), [1 / 8, 5 / 8, 3 / 8, 7 / 8])

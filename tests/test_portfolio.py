@@ -160,6 +160,9 @@ def row_by_row_rows(text):
 
 
 CELLS = ["0", "1", "7", " 2", "x", "", "1.5", "-0.0", "0.25", "0.999", "nan", "inf", "-0.1", "1e-3"]
+# where numpy's text reader and int()/float()/csv may read a cell differently
+CELLS += ["+5", "007", "1_000", "\u0663", "5\x0c", " 5", '"5"', "#5", "9223372036854775808"]
+CELLS += ["3.0", "1e400", "Infinity", "-nan"]
 
 csv_rows = st.one_of(
     st.lists(st.sampled_from(CELLS), min_size=3, max_size=3).map(",".join),
@@ -172,12 +175,15 @@ csv_rows = st.one_of(
 
 
 @settings(max_examples=500, deadline=None)
-@given(rows=st.lists(csv_rows, max_size=10))
-@example(rows=["0,0.5,0.5", "", "1,1.5,x", "1,0.5"])  # parse before range, blank lines count
-@example(rows=["0,0.5,0.5", "0,x,0.5", "1,0.5,0"])
-def test_load_reports_what_a_row_by_row_reading_reports(rows):
-    text = "\n".join(["id,expected_return,std_dev", *rows]) + "\n"
-    want = row_by_row_rows(text)
+@given(rows=st.lists(csv_rows, max_size=10), newline=st.sampled_from(["\n", "\r\n", "\r"]))
+@example(rows=["0,0.5,0.5", "", "1,1.5,x", "1,0.5"], newline="\n")  # parse before range, blank lines count
+@example(rows=["0,0.5,0.5", "0,x,0.5", "1,0.5,0"], newline="\n")
+@example(rows=[], newline="\n")
+@example(rows=["", " , , ", ""], newline="\r\n")  # only blank lines
+def test_load_reports_what_a_row_by_row_reading_reports(rows, newline):
+    text = newline.join(["id,expected_return,std_dev", *rows]) + newline
+    # the reference splits lines at "\n" alone, so it reads the same rows "\n"-joined
+    want = row_by_row_rows("\n".join(["id,expected_return,std_dev", *rows]) + "\n")
     try:
         table = load_frontier(io.StringIO(text), 4)
     except FrontierFormatError as exc:
@@ -186,6 +192,22 @@ def test_load_reports_what_a_row_by_row_reading_reports(rows):
         assert [(r.id, r.expected_return, r.std_dev, r.sharpe) for r in table.records] == want
         assert table.returns.values[: len(want)] == tuple(quantize(r[1], 4) for r in want)
         assert table.sigmas.values[: len(want)] == tuple(quantize(r[2], 4) for r in want)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_well_formed_input_is_not_read_row_by_row(monkeypatch, newline):
+    def row_by_row(text):
+        raise AssertionError("well-formed input was read row by row")
+
+    monkeypatch.setattr(portfolio, "_read_rows", row_by_row)
+    rng = np.random.default_rng(4096)
+    rets, stds = rng.uniform(0.0, 0.9, 4096), rng.uniform(0.01, 0.9, 4096)
+    lines = ["id,expected_return,std_dev"]
+    lines += [f"{k},{r:.6f},{s:.6f}" for k, (r, s) in enumerate(zip(rets, stds))]
+    table = load_frontier(io.StringIO(newline.join(lines) + newline, newline=""), 10)
+    assert table.ids == tuple(range(4096))
+    assert table.expected_returns == tuple(float(f"{r:.6f}") for r in rets)
+    assert table.sigmas.values == tuple(quantize(float(f"{s:.6f}"), 10) for s in stds)
 
 
 # ---------------------------------------------------------------------------
