@@ -96,7 +96,7 @@ class ValueTable:
         return ValueTable(self.bits, np.concatenate([self.array, np.full(self.size, sentinel)]))
 
     def __getitem__(self, k: int) -> int:
-        return self.values[k]
+        return int(self.array[k])
 
     def __len__(self) -> int:
         return self.size

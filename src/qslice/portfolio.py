@@ -122,26 +122,6 @@ def _is_header(cells: Sequence[str]) -> bool:
     return tuple(map(str.strip, cells)) == _HEADER
 
 
-def _parsed(cells: Sequence[str], convert) -> list:
-    """``convert`` of each cell, up to the first one it rejects."""
-    try:
-        return list(map(convert, cells))
-    except ValueError:
-        pass
-    values = []
-    for cell in cells:
-        try:
-            values.append(convert(cell))
-        except ValueError:
-            break
-    return values
-
-
-def _first(bad: np.ndarray) -> int:
-    """The position of the first true entry, or the length if there is none."""
-    return int(bad.argmax()) if bad.any() else bad.size
-
-
 def load_frontier(source: TextIO, t: int) -> FrontierTable:
     """Parse and validate frontier CSV, pad to a power of two, quantize.
 
@@ -208,11 +188,15 @@ def _read_fast(text: str) -> tuple[list[int], np.ndarray, np.ndarray] | None:
 def _read_rows(text: str) -> tuple[list[int], np.ndarray, np.ndarray]:
     """The columns of a frontier read row by row, or the error met first.
 
-    Each column is converted in one pass. A failed check raises the error
-    a row-by-row reading would meet first: the earliest bad row, and on
-    it the first of field count, id, return, risk, ranges and duplicates.
+    Blank rows are skipped, but still count as lines. Each row is checked
+    in turn for field count, id, return, risk, ranges and a repeated id,
+    and the first failure is raised.
     """
     reader = csv.reader(io.StringIO(text, newline=""))
+    ids: list[int] = []
+    rets: list[float] = []
+    stds: list[float] = []
+    seen: set[int] = set()
     try:
         header = next(reader, None)
         if header is None:
@@ -221,42 +205,45 @@ def _read_rows(text: str) -> tuple[list[int], np.ndarray, np.ndarray]:
             raise FrontierFormatError(
                 f"line 1: expected header {','.join(_HEADER)!r}, got {','.join(header)!r}"
             )
-        rows = list(reader)
+        # record numbers, which differ from reader.line_num after a quoted newline
+        for line, row in enumerate(reader, start=2):
+            if not "".join(row).strip():
+                continue
+            if len(row) != 3:
+                raise FrontierFormatError(f"line {line}: expected 3 fields, got {len(row)}")
+            try:
+                row_id = int(row[0])
+            except ValueError:
+                raise FrontierFormatError(f"line {line}: field 'id' is not an integer") from None
+            try:
+                ret = float(row[1])
+            except ValueError:
+                raise FrontierFormatError(
+                    f"line {line}: field 'expected_return' is not a number"
+                ) from None
+            try:
+                std = float(row[2])
+            except ValueError:
+                raise FrontierFormatError(f"line {line}: field 'std_dev' is not a number") from None
+            if not 0.0 <= ret < 1.0:
+                raise FrontierFormatError(
+                    f"line {line}: field 'expected_return' must lie in [0, 1), got {ret}"
+                )
+            if not 0.0 < std < 1.0:
+                raise FrontierFormatError(
+                    f"line {line}: field 'std_dev' must lie in (0, 1), got {std}"
+                )
+            if row_id in seen:
+                raise FrontierFormatError(f"line {line}: duplicate id {row_id}")
+            seen.add(row_id)
+            ids.append(row_id)
+            rets.append(ret)
+            stds.append(std)
     except csv.Error as exc:
         raise FrontierFormatError(f"line {reader.line_num}: {exc}") from None
-    # blank rows are skipped, but still count as lines
-    filled = np.fromiter(map(bool, map(str.strip, map("".join, rows))), bool, len(rows))
-    lines = np.flatnonzero(filled) + 2
-    if lines.size < len(rows):
-        rows = [rows[line - 2] for line in lines]
-    width_ok = _first(np.fromiter(map(len, rows), int, len(rows)) != 3)
-    id_cells, ret_cells, std_cells = tuple(zip(*rows[:width_ok])) or ((), (), ())
-    ids = _parsed(id_cells, int)
-    ret_list, std_list = _parsed(ret_cells, float), _parsed(std_cells, float)
-    rets, stds = np.array(ret_list, dtype=float), np.array(std_list, dtype=float)
-    duplicate = len(ids)
-    if len(set(ids)) < len(ids):
-        seen: set[int] = set()  # set.add returns None, so the first repeat stops next()
-        duplicate = next(k for k, i in enumerate(ids) if i in seen or seen.add(i))
-    bad_ret = _first(~((rets >= 0.0) & (rets < 1.0)))
-    bad_std = _first(~((stds > 0.0) & (stds < 1.0)))
-    # (first failing row, message) per check, in the order a row is checked;
-    # a check that never fails names the row where its column stopped parsing
-    checks = [
-        (width_ok, lambda k: f"expected 3 fields, got {len(rows[k])}"),
-        (len(ids), lambda k: "field 'id' is not an integer"),
-        (rets.size, lambda k: "field 'expected_return' is not a number"),
-        (stds.size, lambda k: "field 'std_dev' is not a number"),
-        (bad_ret, lambda k: f"field 'expected_return' must lie in [0, 1), got {ret_list[k]}"),
-        (bad_std, lambda k: f"field 'std_dev' must lie in (0, 1), got {std_list[k]}"),
-        (duplicate, lambda k: f"duplicate id {ids[k]}"),
-    ]
-    row, message = min(checks, key=lambda check: check[0])
-    if row < len(rows):
-        raise FrontierFormatError(f"line {lines[row]}: {message(row)}")
-    if not rows:
+    if not ids:
         raise FrontierFormatError("no data rows")
-    return ids, rets, stds
+    return ids, np.array(rets), np.array(stds)
 
 
 def sharpe_values(table: FrontierTable, risk_free_rate: float) -> ValueTable:

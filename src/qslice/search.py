@@ -703,7 +703,7 @@ def enumerate_solutions(
                 f"{runs} searches; counting and search disagree"
             )
         # The runs come as a block. If the set completes inside it, the
-        # generator is rewound and only the runs used are drawn again, so it
+        # generator is rewound and redraws only the used runs' uniforms, so it
         # ends where drawing run by run up to the last find leaves it.
         shots = min(max_attempts - runs, ENUMERATION_BLOCK)
         saved = rng.bit_generator.state
@@ -719,7 +719,7 @@ def enumerate_solutions(
         found = np.concatenate((found, new[first < used]))
         if used < shots:
             rng.bit_generator.state = saved
-            grover_search(oracle, iterations, rng, backend, shots=used)
+            rng.random(used)
         calls += iterations * used
         runs += used
     return EnumerationResult(frozenset(found.tolist()), estimate, calls, runs, doubled)

@@ -163,6 +163,8 @@ CELLS = ["0", "1", "7", " 2", "x", "", "1.5", "-0.0", "0.25", "0.999", "nan", "i
 # where numpy's text reader and int()/float()/csv may read a cell differently
 CELLS += ["+5", "007", "1_000", "\u0663", "5\x0c", " 5", '"5"', "#5", "9223372036854775808"]
 CELLS += ["3.0", "1e400", "Infinity", "-nan"]
+# a quoted newline: `line N` counts records, not physical lines
+CELLS += ['"a\nb"']
 
 csv_rows = st.one_of(
     st.lists(st.sampled_from(CELLS), min_size=3, max_size=3).map(",".join),
@@ -180,6 +182,7 @@ csv_rows = st.one_of(
 @example(rows=["0,0.5,0.5", "0,x,0.5", "1,0.5,0"], newline="\n")
 @example(rows=[], newline="\n")
 @example(rows=["", " , , ", ""], newline="\r\n")  # only blank lines
+@example(rows=['0,0.5,"a\nb"'], newline="\r")  # line 2, though csv ends the record on line 3
 def test_load_reports_what_a_row_by_row_reading_reports(rows, newline):
     text = newline.join(["id,expected_return,std_dev", *rows]) + newline
     # the reference splits lines at "\n" alone, so it reads the same rows "\n"-joined
@@ -192,6 +195,14 @@ def test_load_reports_what_a_row_by_row_reading_reports(rows, newline):
         assert [(r.id, r.expected_return, r.std_dev, r.sharpe) for r in table.records] == want
         assert table.returns.values[: len(want)] == tuple(quantize(r[1], 4) for r in want)
         assert table.sigmas.values[: len(want)] == tuple(quantize(r[2], 4) for r in want)
+
+
+def test_load_reports_a_bad_row_before_a_later_csv_error():
+    huge = "9" * (csv.field_size_limit() + 5)
+    text = f"id,expected_return,std_dev\n0,0.5,0.5\nx,0.5,0.5\n1,0.5,{huge}\n"
+    with pytest.raises(FrontierFormatError) as info:
+        load_frontier(io.StringIO(text), 4)
+    assert str(info.value) == "line 3: field 'id' is not an integer"
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
