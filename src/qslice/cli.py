@@ -20,7 +20,7 @@ import numpy as np
 
 from . import portfolio as pf
 from .comparators import ComparatorLayout, eq_circuit, gt_circuit, lt_circuit
-from .search import SearchDisagreement, t_for_resolution
+from .search import BACKENDS, SearchDisagreement, t_for_resolution
 from .sim import apply, new_basis_state
 
 
@@ -46,8 +46,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--resolution", type=float, default=0.01,
                        help="resolving power d (default 0.01)")
         p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-        p.add_argument("--backend", choices=("dense", "effective"),
-                       default="effective")
+        p.add_argument("--backend", choices=BACKENDS, default="effective")
         p.add_argument("--output", choices=("json", "text"), default="json")
 
     p = sub.add_parser("slice", help="select ids by return/risk thresholds")

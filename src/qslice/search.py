@@ -11,8 +11,8 @@ the furthest state G^j|psi> is stepped only when a larger j is asked for,
 and each j reached keeps a record that rebuilds its index-register
 probabilities bit for bit, so a search draws exactly what simulating from
 |psi> would. The effective backend finds that index as floor(v N) while the
-state is uniform, which takes no step, else from the closed-form CDF of its
-amplitude pair by one bisection, or from the CDF itself near a boundary.
+state is uniform, which takes no step; every other draw, and every uniform
+one near a boundary, is located in the measurement CDF, kept for the last j.
 Enumeration's fixed-j runs are drawn as blocks located in that CDF at once.
 Dense counting reads the same memo: its register law depends only on the
 overlaps r(k) = <psi|G^k psi>, k < 2^m, recorded next to each marginal, and
@@ -28,7 +28,6 @@ from a single master seed.
 
 from __future__ import annotations
 
-import bisect
 import math
 import sys
 from dataclasses import dataclass, field
@@ -169,12 +168,10 @@ class _EffectiveEvolution(_Evolution):
 
     After j iterations every marked amplitude is the same number, and so is
     every unmarked one (Boyer, Brassard, Hoyer & Tapp 1998), so the pair
-    rebuilds the whole vector and the CDF is F(i) = (p_in c(i) + p_out (i +
-    1 - c(i))) / S, with c(i) the smaller class's indices up to i. ``v`` is
-    located by one bisection over the weight before each of them (kept for
-    the last j) and by arithmetic in the gap after. At j = 0, or with one class
-    empty, the state is uniform and F(i) = (i + 1) / N, so ``v`` is located
-    as floor(v N) with no record and no step. Everything held is O(N).
+    rebuilds the whole vector. At j = 0, or with one class empty, the state
+    is uniform and its CDF is F(i) = (i + 1) / N, so ``v`` is located as
+    floor(v N) with no record and no step; every other ``v`` goes to the
+    measurement CDF. Everything held is O(N).
     """
 
     def __init__(self, mask: np.ndarray, index_bits: int):
@@ -186,22 +183,14 @@ class _EffectiveEvolution(_Evolution):
             int(self.marked[0]) if self.marked.size else None,
             None if mask[first_unmarked] else first_unmarked,
         )
-        # the smaller class's indices, with the other class's count before each
-        self._small_is_marked = 2 * self.marked.size <= mask.size
-        small = self.marked if self._small_is_marked else np.flatnonzero(~mask)
-        self._ranks = np.arange(small.size, dtype=float)
-        self._others = small - self._ranks
-        # read as Python ints, between the sentinels -1 and N
-        self._small = memoryview(np.concatenate(([-1], small, [mask.size])))
         # The float CDF of ``_Evolution.locate`` sums nonnegative terms and its
-        # division by cdf[-1] cancels the total's error, so it is monotone and
-        # within (2N + 2) 2^-53 of the exact F in any summation order. An index
-        # whose closed-form interval clears this margin (4x that, plus the few
-        # roundings of the closed form) on both sides is the one searchsorted
-        # finds; v within it of one of the N boundaries, a share of at most
-        # 2 N margin (1.2e-7 at N = 8192) of draws, take the CDF path.
+        # division by cdf[-1] cancels the total's error, so on a uniform state
+        # it is monotone and within (2N + 2) 2^-53 of (i + 1) / N in any
+        # summation order. floor(v N) is the index searchsorted finds when v
+        # clears this margin (4x that) on both sides; v within it of one of the
+        # N boundaries, a share of at most 2 N margin (1.2e-7 at N = 8192) of
+        # draws, take the CDF path.
         self._margin = (mask.size + 8) * 2.0**-50
-        self._weights_iterations = -1
         super().__init__(effective_state_new(index_bits))
 
     def step(self, state):
@@ -222,29 +211,6 @@ class _EffectiveEvolution(_Evolution):
             i = int(v * size)  # exact, as are i / N and (i + 1) / N: N is a power of two
             if i / size + margin <= v < (i + 1) / size - margin:
                 return i
-            return super().locate(iterations, v)
-        if iterations != self._weights_iterations:
-            pair = [float(a) * float(a) for a in self.record(iterations)]
-            w_in, w_out = pair if self._small_is_marked else pair[::-1]
-            # the weight before each small-class index, bisected as Python floats
-            before = memoryview(w_in * self._ranks + w_out * self._others)
-            total = w_in * len(before) + w_out * (self.mask.size - len(before))
-            self._weights_iterations, self._weights = iterations, (w_in, w_out, total, before)
-        (w_in, w_out, total, before), small, margin = self._weights, self._small, self._margin
-        t = v * total
-        k = bisect.bisect_right(before, t)
-        if k and t < before[k - 1] + w_in:  # on small-class index k - 1
-            i, low, width = small[k], before[k - 1], w_in
-        else:  # among the other-class indices before small-class index k
-            first, end = small[k] + 1, small[k + 1]
-            if first == end or w_out < margin:  # no index there clears the margin
-                return super().locate(iterations, v)
-            i = first + int((t - (before[k - 1] + w_in if k else 0.0)) / w_out)
-            i = i if i < end else end - 1
-            low, width = w_in * k + w_out * (i - k), w_out
-        # F(i - 1) + margin <= v < F(i) - margin, with F in closed form
-        if low / total + margin <= v < (low + width) / total - margin:
-            return i
         return super().locate(iterations, v)
 
 

@@ -1,0 +1,26 @@
+"""Source hygiene: every name a package module imports is used in that module."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qslice"
+
+
+def unused_imports(source: str) -> set[str]:
+    """Names bound by the imports (``from __future__`` aside) that no expression reads."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    # an attribute chain such as ``np.random.Generator`` reads its root as a Name
+    return imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_every_name_a_module_imports_is_used():
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert len(modules) >= 6
+    unused = {p.name: sorted(unused_imports(p.read_text())) for p in modules}
+    assert not {name: names for name, names in unused.items() if names}

@@ -713,7 +713,7 @@ def test_evolution_cache_holds_no_reference_to_its_oracle(backend):
 
 
 # ---------------------------------------------------------------------------
-# The effective backend's closed-form draw against the CDF it replaces
+# The effective backend's draws against rng.choice on the stepped state
 # ---------------------------------------------------------------------------
 
 
@@ -826,11 +826,14 @@ def test_effective_draw_builds_no_cdf_away_from_the_boundaries(monkeypatch):
 
     monkeypatch.setattr(search._Evolution, "locate", no_cdf)
     gen = np.random.default_rng(11)
-    for n, count in ((1, 1), (4, 0), (6, 16), (9, 100), (9, 500), (12, 4096), (12, 1500)):
+    cases = ((1, 1), (4, 0), (6, 16), (9, 100), (9, 500), (12, 4096), (12, 1500), (7, 0), (9, 512))
+    for n, count in cases:
         marked = gen.choice(1 << n, size=count, replace=False)
         oracle = direct_marking_oracle(n, marked.tolist())
         rng = np.random.default_rng(n)
-        for j in (0, 1, 2, 5, int(2 * math.sqrt(1 << n)) + 2):
+        # only a uniform state is drawn without the CDF: j = 0, or one class empty
+        uniform = count in (0, 1 << n)
+        for j in (0, 1, 2, 5, int(2 * math.sqrt(1 << n)) + 2) if uniform else (0,):
             for _ in range(300):
                 grover_search(oracle, j, rng)
 
