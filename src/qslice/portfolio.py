@@ -49,13 +49,13 @@ class PortfolioRecord:
     sharpe: float  # at zero risk-free rate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrontierTable:
-    """Validated frontier columns plus their quantized value tables."""
+    """Validated frontier columns as read-only arrays, plus their quantized value tables."""
 
-    ids: tuple[int, ...]
-    expected_returns: tuple[float, ...]
-    std_devs: tuple[float, ...]
+    ids: np.ndarray  # int64, or an object column of Python ints if one lies outside int64
+    expected_returns: np.ndarray
+    std_devs: np.ndarray
     t: int
     padded_n: int
     returns: ValueTable
@@ -64,10 +64,9 @@ class FrontierTable:
     @cached_property
     def records(self) -> tuple[PortfolioRecord, ...]:
         """One record per real row, built on first use."""
-        sharpes = map(operator.truediv, self.expected_returns, self.std_devs)
-        return tuple(
-            map(PortfolioRecord, self.ids, self.expected_returns, self.std_devs, sharpes)
-        )
+        rets, stds = self.expected_returns.tolist(), self.std_devs.tolist()
+        sharpes = map(operator.truediv, rets, stds)
+        return tuple(map(PortfolioRecord, self.ids.tolist(), rets, stds, sharpes))
 
     @property
     def size(self) -> int:
@@ -101,18 +100,15 @@ def _quantized(values: Sequence[float] | np.ndarray, t: int) -> np.ndarray:
     outside = values[~((values >= 0.0) & (values < 1.0))]
     if outside.size:
         raise ValueError(f"value {outside[0]} outside [0, 1)")
-    # the int64 cast below is exact up to a double's 53 significand bits
-    if not 1 <= t <= sys.float_info.mant_dig:
-        raise ValueError(f"t must lie in [1, {sys.float_info.mant_dig}]")
+    _check_t(t)
     scale = float(1 << t)
     return np.minimum(np.floor(values * scale + 0.5), scale - 1.0).astype(np.int64)
 
 
-def _padded(values: np.ndarray, size: int, sentinel: int) -> np.ndarray:
-    """``values`` followed by ``sentinel`` up to ``size`` entries."""
-    out = np.full(size, sentinel, dtype=np.int64)
-    out[: values.size] = values
-    return out
+def _check_t(t: int) -> None:
+    # a quantized value's int64 cast is exact up to a double's 53 significand bits
+    if not 1 <= t <= sys.float_info.mant_dig:
+        raise ValueError(f"t must lie in [1, {sys.float_info.mant_dig}]")
 
 
 _HEADER = ("id", "expected_return", "std_dev")
@@ -123,34 +119,34 @@ def _is_header(cells: Sequence[str]) -> bool:
 
 
 def load_frontier(source: TextIO, t: int) -> FrontierTable:
-    """Parse and validate frontier CSV, pad to a power of two, quantize.
+    """Check t, then parse and validate frontier CSV, pad to a power of two, quantize.
 
     Well-formed input is parsed in one pass by numpy's text reader. Any
     input that reader declines is read row by row, with the same result or
     the error that reading meets first.
     """
+    _check_t(t)
     text = source.read()
-    ids, rets, stds = _read_fast(text) or _read_rows(text)
-    if t < 1:
-        raise ValueError("t must be >= 1")
-
+    ids, rets, stds = columns = _read_fast(text) or _read_rows(text)
+    for column in columns:
+        column.flags.writeable = False
     padded_n = max(1, math.ceil(math.log2(len(ids))))
-    size = 1 << padded_n
+    pad = (0, (1 << padded_n) - len(ids))
     return FrontierTable(
-        ids=tuple(ids),
-        expected_returns=tuple(rets.tolist()),
-        std_devs=tuple(stds.tolist()),
+        ids=ids,
+        expected_returns=rets,
+        std_devs=stds,
         t=t,
         padded_n=padded_n,
-        returns=ValueTable(t, _padded(_quantized(rets, t), size, 0)),
-        sigmas=ValueTable(t, _padded(_quantized(stds, t), size, (1 << t) - 1)),
+        returns=ValueTable(t, np.pad(_quantized(rets, t), pad)),
+        sigmas=ValueTable(t, np.pad(_quantized(stds, t), pad, constant_values=(1 << t) - 1)),
     )
 
 
 _ROW = np.dtype([("id", np.int64), ("expected_return", np.float64), ("std_dev", np.float64)])
 
 
-def _read_fast(text: str) -> tuple[list[int], np.ndarray, np.ndarray] | None:
+def _read_fast(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """The columns of a well-formed frontier, or None to leave the text to ``_read_rows``.
 
     numpy's C reader converts each float with the routine ``float()`` uses
@@ -182,10 +178,10 @@ def _read_fast(text: str) -> tuple[list[int], np.ndarray, np.ndarray] | None:
     ordered = np.sort(ids)  # faster than np.unique on int64
     if not in_range.all() or (ordered[1:] == ordered[:-1]).any():
         return None
-    return ids.tolist(), rets, stds
+    return ids, rets, stds
 
 
-def _read_rows(text: str) -> tuple[list[int], np.ndarray, np.ndarray]:
+def _read_rows(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The columns of a frontier read row by row, or the error met first.
 
     Blank rows are skipped, but still count as lines. Each row is checked
@@ -243,7 +239,9 @@ def _read_rows(text: str) -> tuple[list[int], np.ndarray, np.ndarray]:
         raise FrontierFormatError(f"line {reader.line_num}: {exc}") from None
     if not ids:
         raise FrontierFormatError("no data rows")
-    return ids, np.array(rets), np.array(stds)
+    # an object column keeps ids outside int64, which numpy would otherwise round to float64
+    id_type = np.int64 if -(2**63) <= min(ids) and max(ids) < 2**63 else object
+    return np.array(ids, dtype=id_type), np.array(rets), np.array(stds)
 
 
 def sharpe_values(table: FrontierTable, risk_free_rate: float) -> ValueTable:
@@ -257,10 +255,8 @@ def sharpe_values(table: FrontierTable, risk_free_rate: float) -> ValueTable:
     if not 0.0 <= risk_free_rate < 1.0:
         raise ValueError("risk_free_rate must lie in [0, 1)")
     t = table.t
-    returns = np.array(table.expected_returns)
-    sigmas = np.array(table.std_devs)
-    bound = (returns.max() - risk_free_rate) / sigmas.min()
-    raw = (returns - risk_free_rate) / sigmas
+    bound = (table.expected_returns.max() - risk_free_rate) / table.std_devs.min()
+    raw = (table.expected_returns - risk_free_rate) / table.std_devs
     clamped = int(np.count_nonzero(raw < 0.0))
     if bound <= 0.0:
         values = np.zeros(raw.size, dtype=np.int64)
@@ -271,7 +267,7 @@ def sharpe_values(table: FrontierTable, risk_free_rate: float) -> ValueTable:
             f"{clamped} portfolio(s) had negative Sharpe ratio and were clamped to 0",
             stacklevel=2,
         )
-    return ValueTable(t, _padded(values, table.size, 0))
+    return ValueTable(t, np.pad(values, (0, table.size - values.size)))
 
 
 @dataclass
@@ -298,7 +294,8 @@ def slice_portfolios(
     s2 = quantize(risk_max, table.t)
     oracle = two_list_oracle(table.returns, table.sigmas, s1, s2)
     result = enumerate_solutions(oracle, rng, backend)
-    ids = frozenset(table.ids[k] for k in result.indices if not table.is_sentinel(k))
+    found = np.fromiter(result.indices, dtype=np.int64, count=len(result.indices))
+    ids = frozenset(table.ids[found[found < len(table.ids)]].tolist())
     return SliceResult(ids, result, oracle.layout.to_dict())
 
 
@@ -319,25 +316,24 @@ def max_sharpe(
     backend: str = "effective",
 ) -> MaxSharpeResult:
     """Id of the portfolio with the largest Sharpe ratio, via adaptive search."""
-    if not table.ids:
+    if len(table.ids) == 0:
         raise ValueError("table has no real rows")
     values = sharpe_values(table, risk_free_rate)
     result = gas(values, "max", rng, repetitions, backend)
     index = result.index
     if table.is_sentinel(index):
         # sentinels share the quantized value 0; prefer a real row on ties
-        index = next(
-            (k for k in range(len(table.ids)) if values[k] == result.value), None
-        )
-        if index is None:
+        ties = np.flatnonzero(values.array[: len(table.ids)] == result.value)
+        if not ties.size:
             raise RuntimeError(
                 "adaptive search ended on a padding row that no real row ties; "
                 "rerun with a larger --repeat"
             )
+        index = int(ties[0])
     layout = single_list_oracle(values, values[index]).layout.to_dict()
     return MaxSharpeResult(
-        id=table.ids[index],
-        sharpe_raw=(table.expected_returns[index] - risk_free_rate) / table.std_devs[index],
+        id=int(table.ids[index]),
+        sharpe_raw=float((table.expected_returns[index] - risk_free_rate) / table.std_devs[index]),
         index=index,
         gas=result,
         layout=layout,
@@ -372,6 +368,8 @@ def count_portfolios(
     """
     if return_min is None and risk_max is None:
         raise ValueError("counting needs a return and/or a risk threshold")
+    if mode not in ("exact", "detect"):
+        raise ValueError(f"mode must be 'exact' or 'detect', got {mode!r}")
     if risk_max is None:
         oracle = single_list_oracle(table.returns, quantize(return_min, table.t), "gt")
     elif return_min is None:

@@ -1,9 +1,10 @@
-"""Source hygiene: every name a package module imports is used in that module."""
+"""Source hygiene: every name a package or test module imports is used in that module."""
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qslice"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "qslice"
 
 
 def unused_imports(source: str) -> set[str]:
@@ -19,8 +20,18 @@ def unused_imports(source: str) -> set[str]:
     return imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
+def unused_by_module(modules) -> dict[str, list[str]]:
+    unused = {p.name: sorted(unused_imports(p.read_text())) for p in modules}
+    return {name: names for name, names in unused.items() if names}
+
+
 def test_every_name_a_module_imports_is_used():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     assert len(modules) >= 6
-    unused = {p.name: sorted(unused_imports(p.read_text())) for p in modules}
-    assert not {name: names for name, names in unused.items() if names}
+    assert not unused_by_module(modules)
+
+
+def test_every_name_a_test_module_imports_is_used():
+    modules = sorted(TESTS.glob("*.py"))
+    assert len(modules) >= 10
+    assert not unused_by_module(modules)

@@ -1,0 +1,130 @@
+"""Exponential search on the effective backend against its exact law (``laws.py``)."""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from laws import (
+    QES_BUDGET_FACTOR,
+    QES_GROWTH,
+    chi_square_sf,
+    default_qes_budget,
+    qes_law,
+    success_probabilities,
+)
+from qslice import ValueTable, qes, search, single_list_oracle
+
+
+def test_restated_constants_are_qslices():
+    assert QES_GROWTH == search._QES_GROWTH
+    assert QES_BUDGET_FACTOR == search.DEFAULT_QES_BUDGET_FACTOR
+    for n_space in (2, 16, 1000, 4096):
+        assert default_qes_budget(n_space) == search.default_qes_budget(n_space)
+
+
+@pytest.mark.parametrize(
+    "statistic, dof, want",
+    [(0.0, 1, 1.0), (0.0, 6, 1.0), (2.0, 2, math.exp(-1.0)), (1.0, 1, math.erfc(math.sqrt(0.5)))],
+)
+def test_chi_square_tail_closed_forms(statistic, dof, want):
+    assert chi_square_sf(statistic, dof) == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "dof, critical",
+    [(1, 6.634896601021217), (2, 9.210340371976182), (5, 15.086272469388991),
+     (10, 23.20925115895436), (21, 38.93217268351607)],
+)
+def test_chi_square_tail_at_the_one_percent_points(dof, critical):
+    assert chi_square_sf(critical, dof) == pytest.approx(0.01, rel=1e-9)
+
+
+@pytest.mark.parametrize("n_space", [2, 16, 256, 4096])
+def test_qes_law_sums_to_one(n_space):
+    for marked, budget in itertools.product(
+        sorted({0, 1, n_space // 4, n_space // 2 + 1, n_space}), (1, 7, default_qes_budget(n_space))
+    ):
+        law = qes_law(n_space, marked, budget)
+        assert (law >= 0.0).all()
+        assert abs(law.sum() - 1.0) < 1e-12, (n_space, marked, budget)
+        if marked == 0:
+            assert not law[1].any()
+        if marked == n_space:
+            assert not law[0].any()
+
+
+def qes_law_by_enumeration(n_space, marked, budget, floor):
+    """The law of ``qes`` from every sequence of j, and the mass of the paths cut below ``floor``.
+
+    A path whose probability falls below ``floor`` before it ends is not
+    followed; with no cut, sequences of j = 0 misses would never end.
+    """
+    root = math.sqrt(n_space)
+    law = np.zeros((2, budget + math.ceil(root)))
+    cut = 0.0
+
+    def walk(calls, bound, mass):
+        nonlocal cut
+        if mass < floor:
+            cut += mass
+            return
+        runs = math.ceil(bound)
+        for j, success in enumerate(success_probabilities(n_space, marked, runs).tolist()):
+            law[1, calls + j] += mass / runs * success
+            if calls + j > budget:
+                law[0, calls + j] += mass / runs * (1.0 - success)
+            else:
+                walk(calls + j, min(QES_GROWTH * bound, root), mass / runs * (1.0 - success))
+
+    walk(0, 1.0, 1.0)
+    return law, cut
+
+
+@pytest.mark.parametrize(
+    "n_space, marked", [(2, 0), (2, 1), (4, 1), (4, 3), (8, 2), (16, 0), (16, 1), (16, 4), (16, 9)]
+)
+@pytest.mark.parametrize("budget", [1, 2])
+def test_qes_law_equals_enumeration(n_space, marked, budget):
+    want, cut = qes_law_by_enumeration(n_space, marked, budget, floor=1e-13)
+    assert cut < 1e-10
+    np.testing.assert_allclose(qes_law(n_space, marked, budget), want, rtol=0, atol=cut + 1e-12)
+
+
+# Fixed before the first run: N, the number of runs, the seed of each M, and
+# the binning (every (found, calls) cell expecting at least 5 runs is a bin,
+# the other cells pool into one, which joins the smallest bin if it expects
+# fewer than 5). A failing seed is a finding to report, not one to replace.
+CHI_N = 256
+CHI_RUNS = 500
+
+
+def binned(expected, observed):
+    keep = expected >= 5.0
+    exp, obs = expected[keep].tolist(), observed[keep].tolist()
+    rest_exp, rest_obs = expected[~keep].sum(), observed[~keep].sum()
+    if rest_exp >= 5.0:
+        exp.append(rest_exp)
+        obs.append(rest_obs)
+    else:
+        smallest = int(np.argmin(exp))
+        exp[smallest] += rest_exp
+        obs[smallest] += rest_obs
+    return np.array(exp), np.array(obs)
+
+
+@pytest.mark.parametrize("marked", [0, 1, CHI_N // 4, 160])
+def test_seeded_qes_follows_its_law(marked):
+    table = ValueTable(1, [1] * marked + [0] * (CHI_N - marked))
+    oracle = single_list_oracle(table, 0)
+    rng = np.random.default_rng([1998, marked])
+    law = qes_law(CHI_N, marked, default_qes_budget(CHI_N))
+    observed = np.zeros_like(law)
+    for _ in range(CHI_RUNS):
+        outcome = qes(oracle, rng)
+        observed[int(not outcome.timed_out), outcome.oracle_calls] += 1
+    assert not observed[law == 0.0].any()
+    expected, counts = binned(CHI_RUNS * law.ravel(), observed.ravel())
+    statistic = float(((counts - expected) ** 2 / expected).sum())
+    assert chi_square_sf(statistic, expected.size - 1) >= 0.01, (marked, statistic, expected.size)

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from qslice import (
     slice_portfolios,
 )
 from qslice import portfolio
+from qslice.cli import main
 from qslice.portfolio import count_portfolios, quantize_array
 from qslice.search import GasResult, counting_distribution
 
@@ -126,6 +128,49 @@ def test_load_errors():
         load_frontier(io.StringIO(""), 4)
 
 
+class Unreadable:
+    def read(self):
+        raise AssertionError("the source was read")
+
+
+@pytest.mark.parametrize("t", [-1, 0, 54])
+def test_load_checks_t_before_reading_the_source(t):
+    with pytest.raises(ValueError, match=r"^t must lie in \[1, 53\]$"):
+        load_frontier(Unreadable(), t)
+
+
+# ids that int() reads but int64 does not hold. Without the 2**70, numpy's
+# default dtype for these ids is float64, which would round 2**63.
+WIDE_IDS = [[-1, 2**63, 2**70], [-1, 2**63]]
+
+
+def wide_id_csv(ids, best):
+    """A row per id, the row at ``best`` of the highest Sharpe ratio."""
+    rows = [(i, 0.3 if k == best else 0.1, 0.4) for k, i in enumerate(ids)]
+    return "id,expected_return,std_dev\n" + "".join(f"{i},{r},{s}\n" for i, r, s in rows)
+
+
+@pytest.mark.parametrize("ids", WIDE_IDS)
+def test_ids_outside_int64_load_row_by_row_and_keep_their_values(ids):
+    text = wide_id_csv(ids, 0)
+    assert portfolio._read_fast(text) is None
+    loaded = load_frontier(io.StringIO(text), 7).ids.tolist()
+    assert loaded == ids
+    assert all(type(i) is int for i in loaded)
+
+
+@pytest.mark.parametrize("ids, best", [(ids, k) for ids in WIDE_IDS for k in range(len(ids))])
+def test_ids_outside_int64_are_printed_exactly(tmp_path, capsys, ids, best):
+    path = tmp_path / "frontier.csv"
+    path.write_text(wide_id_csv(ids, best))
+    assert main(["slice", "--input", str(path), "--return-min", "0", "--risk-max", "0.99"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["selected_ids"] == ids
+    assert f'"selected_ids": [{", ".join(map(str, ids))}]' in out
+    assert main(["max-sharpe", "--input", str(path), "--output", "text"]) == 0
+    assert f"\nid: {ids[best]}\n" in capsys.readouterr().out
+
+
 def row_by_row_rows(text):
     """Reference reader: each row checked in turn, the first failure raised."""
     reader = csv.reader(io.StringIO(text))
@@ -216,8 +261,8 @@ def test_well_formed_input_is_not_read_row_by_row(monkeypatch, newline):
     lines = ["id,expected_return,std_dev"]
     lines += [f"{k},{r:.6f},{s:.6f}" for k, (r, s) in enumerate(zip(rets, stds))]
     table = load_frontier(io.StringIO(newline.join(lines) + newline, newline=""), 10)
-    assert table.ids == tuple(range(4096))
-    assert table.expected_returns == tuple(float(f"{r:.6f}") for r in rets)
+    assert table.ids.tolist() == list(range(4096))
+    assert table.expected_returns.tolist() == [float(f"{r:.6f}") for r in rets]
     assert table.sigmas.values == tuple(quantize(float(f"{s:.6f}"), 10) for s in stds)
 
 
@@ -412,3 +457,14 @@ def test_count_portfolios_picks_the_oracle_for_the_thresholds(return_min, risk_m
 def test_count_portfolios_needs_a_threshold():
     with pytest.raises(ValueError):
         count_portfolios(fixture_table(), None, None, np.random.default_rng(3))
+
+
+def test_count_portfolios_refuses_an_unknown_mode_before_building_an_oracle(monkeypatch):
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("an oracle was built")
+
+    monkeypatch.setattr(portfolio, "single_list_oracle", no_oracle)
+    monkeypatch.setattr(portfolio, "two_list_oracle", no_oracle)
+    for return_min, risk_max in [(0.1, 0.3), (0.1, None), (None, 0.3)]:
+        with pytest.raises(ValueError, match="'exact' or 'detect'"):
+            count_portfolios(fixture_table(), return_min, risk_max, np.random.default_rng(0), "exakt")
