@@ -147,11 +147,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if not (0 <= a < (1 << n) and 0 <= b < (1 << n)):
         return _fail(f"a and b must fit in {n} bits")
     layout = ComparatorLayout(n)
+    # one input state for the three circuits, refused above the dense cap before any is built
+    start = new_basis_state(layout.num_qubits, a | (b << n))
     simulated = {}
     for name, builder in (("gt", gt_circuit), ("lt", lt_circuit), ("eq", eq_circuit)):
-        circuit = builder(n)
-        basis = a | (b << n)
-        state = apply(new_basis_state(circuit.num_qubits, basis), circuit)
+        state = apply(start, builder(n))
         outcome = int(np.argmax(state.probabilities()))
         simulated[name] = (outcome >> layout.outcome_qubit) & 1
     classical = {"gt": int(a > b), "lt": int(a < b), "eq": int(a == b)}

@@ -152,22 +152,23 @@ def _read_fast(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     numpy's C reader converts each float with the routine ``float()`` uses
     and reads a subset of the ids ``int()`` reads. It raises on what ``csv``
     and ``int()`` read differently: whitespace-only lines, quoted fields,
-    lone ``\r`` line ends, ids with ``_``, non-ASCII digits or beyond int64.
-    Those texts are declined, and so are texts that fail a range or
-    duplicate check, so that the row-by-row reader names the row at fault.
+    ids with ``_``, non-ASCII digits or beyond int64. Those texts are
+    declined, and so are texts that fail a range or duplicate check, so that
+    the row-by-row reader names the row at fault. Lines end where ``csv``
+    ends them outside quotes, at ``\r\n``, ``\r`` or ``\n``.
     """
-    lines = text.split("\n")
-    head = lines[0].removesuffix("\r")
-    if "\r" in head or not _is_header(head.split(",")):
+    if '"' in text:
         return None
-    body = lines[1:]
+    body = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not _is_header(body.pop(0).split(",")):  # pop: no copy of a million-line list
+        return None
     if not any(map(str.strip, body)):  # numpy warns on input with no data
         return None
     # numpy strips these around a number, like other whitespace; int() and float() refuse them
     if any(char in text for char in "\x1c\x1d\x1e\x1f"):
         return None
     limit = csv.field_size_limit()
-    if len(text) > limit and max(map(len, lines)) > limit:  # csv refuses such a field
+    if len(text) > limit and max(map(len, body)) > limit:  # csv refuses such a field
         return None
     try:
         rows = np.loadtxt(body, delimiter=",", dtype=_ROW, comments=None, ndmin=1)

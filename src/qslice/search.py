@@ -16,10 +16,10 @@ one near a boundary, is located in the measurement CDF, kept for the last j.
 Enumeration's fixed-j runs are drawn as blocks located in that CDF at once.
 Dense counting reads the same memo: its register law depends only on the
 overlaps r(k) = <psi|G^k psi>, k < 2^m, recorded next to each marginal, and
-follows from them by one FFT, with no register qubit simulated. Effective
-counting evaluates one phase-estimation kernel and mirrors it. On both
-backends a count's outcome and its further samples come from one CDF, as
-``rng.choice`` draws them.
+follows from them by one FFT, with no register qubit simulated. A count's
+samples are located where ``rng.choice`` draws them in the law's CDF; an
+effective count evaluates that CDF in two windows around the law's peaks and
+builds the whole law (one kernel, mirrored) only for a uniform they cannot place.
 
 Sampling is deterministic for a given ``numpy.random.Generator``; independent
 repetitions derive child generators by spawning, so runs are reproducible
@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -360,7 +361,7 @@ class CountEstimate:
     """A counting outcome b, the solution-count estimate and its error bound.
 
     ``m`` is the register width; ``bound`` is ``register_error_bound`` at the
-    rounded estimate; ``cdf`` is the CDF ``b`` was drawn from.
+    rounded estimate; ``law``, the law ``b`` was drawn from, builds its arrays on first read.
     """
 
     m: int
@@ -370,8 +371,15 @@ class CountEstimate:
     m_est: float
     m_rounded: int
     bound: float
-    distribution: np.ndarray
-    cdf: np.ndarray = field(repr=False)
+    law: _CountingLaw = field(repr=False)
+
+    @property
+    def distribution(self) -> np.ndarray:
+        return self.law.distribution
+
+    @property
+    def cdf(self) -> np.ndarray:
+        return self.law.cdf
 
     def classify(self) -> str:
         """Three-way class used by solution detection: none, single, multiple."""
@@ -489,15 +497,20 @@ def qpe_distribution(phase_turns: float, m: int) -> np.ndarray:
         dist = np.zeros(size)
         dist[nearest % size] = 1.0
         return dist
+    return _qpe_kernel(phi, size, np.arange(size, dtype=float))
+
+
+def _qpe_kernel(phi: float, size: int, dist: np.ndarray) -> np.ndarray:
+    """``qpe_distribution``'s law at the float outcomes ``dist``, in place."""
+    x = phi * size
     # in place: phi - b / 2^m, then the denominator, then the quotient
-    dist = np.arange(size, dtype=float)
     dist /= -size
     dist += phi
     dist *= np.pi
     np.sin(dist, out=dist)
     dist *= size
     np.square(dist, out=dist)
-    return np.divide(math.sin(math.pi * (x - nearest)) ** 2, dist, out=dist)
+    return np.divide(math.sin(math.pi * (x - round(x))) ** 2, dist, out=dist)
 
 
 def counting_distribution(n_space: int, n_marked: int, m: int) -> np.ndarray:
@@ -534,9 +547,9 @@ def quantum_counting(
 ) -> CountEstimate:
     """Phase-estimate the Grover operator to count solutions.
 
-    Returns the exact outcome distribution and one sample drawn from its CDF
-    (kept on the estimate for further samples), as ``rng.choice`` draws it.
-    The dense law follows from the overlaps <psi|G^k psi>, k < 2^m, that the
+    Returns one sample of the exact outcome law, drawn as ``rng.choice``
+    draws it, with the law (kept on the estimate for further samples). The
+    dense law follows from the overlaps <psi|G^k psi>, k < 2^m, that the
     oracle's Grover-evolution memo records, so a later search with j < 2^m
     steps nothing; the effective law follows from the two eigenphases.
     """
@@ -545,11 +558,10 @@ def quantum_counting(
         raise ValueError("m must be >= 1")
     n_space = oracle.index_size
     if backend == "dense":
-        dist = _dense_counting_distribution(oracle, m)
+        law = _CountingLaw(_dense_counting_distribution(oracle, m))
     else:
-        dist = counting_distribution(n_space, len(oracle.marked_set), m)
-    cdf = _measurement_cdf(dist)
-    b = int(cdf.searchsorted(rng.random(), side="right"))
+        law = _PeakWindows(n_space, len(oracle.marked_set), m)
+    b = int(law.locate(rng.random(1))[0])
     theta_est, m_est, m_rounded = estimate_from_outcome(b, m, n_space)
     return CountEstimate(
         m=m,
@@ -559,9 +571,98 @@ def quantum_counting(
         m_est=m_est,
         m_rounded=m_rounded,
         bound=register_error_bound(n_space, max(m_rounded, 0), m),
-        distribution=dist,
-        cdf=cdf,
+        law=law,
     )
+
+
+class _CountingLaw:
+    """A count's outcome law, whose CDF is built on first use."""
+
+    def __init__(self, distribution: np.ndarray):
+        self.distribution = distribution
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        return _measurement_cdf(self.distribution)
+
+    def locate(self, v: np.ndarray) -> np.ndarray:
+        """The outcomes ``rng.choice`` draws for the uniforms ``v``."""
+        return self.cdf.searchsorted(v, side="right")
+
+
+class _PeakWindows(_CountingLaw):
+    """The effective counting law, located near its peaks x = 2^m phi and 2^m - x.
+
+    At a point mass the float CDF steps by exactly 0.5 at round(x) and at its
+    mirror, or by 1 where they coincide. Otherwise the CDF F is evaluated on
+    the W = min(4096, x0 - 1, 2^(m-1) - x0 - 1) outcomes each side of
+    x0 = round(x), and mirrored as F(b) = 1 + P(0) - F(2^m - b - 1).
+    Uniforms these cannot place, and all when W < 128, go to the full law.
+    """
+
+    def __init__(self, n_space: int, n_marked: int, m: int):
+        _check_register_cap(m)  # the full law must fit, should a draw need it
+        self._law = (n_space, n_marked, m)
+        size = 1 << m
+        # The float CDF lies within about 2^(m+1) 2^-53 of the exact F of its
+        # terms, the edges within 2^(m-1) 2^-53 of it and the tail within
+        # 3.4e-3 / W^5 < 1e-13: v is placed when it clears both edges of its
+        # outcome by this margin, 8 (2^m + 8) 2^-53 >= 9e-13 (the uniform rule's).
+        self._margin = (size + 8) * 2.0**-50
+        phi = grover_angle(n_space, n_marked) / (2.0 * math.pi) if n_marked else 0.0
+        x = phi * size
+        peak = round(x)
+        if abs(x - peak) < 1e-12:
+            low, high = sorted((peak % size, -peak % size))
+            self._windows = ((np.array([0.0, 0.5]), low - 1), (np.array([0.5, 1.0]), high - 1))
+            return
+        half = min(4096, peak - 1, size // 2 - peak - 1)
+        self._windows = ()
+        if half < 128:
+            return
+        window = np.arange(peak - half, peak + half + 1, dtype=float)
+        mirror = _qpe_kernel(phi, size, size - window)
+        probs = (_qpe_kernel(phi, size, window) + mirror) * 0.5
+        p0 = float(_qpe_kernel(phi, size, np.zeros(1))[0])
+        left = np.cumsum(np.concatenate(([_left_tail(x, peak - half - 1, size, p0)], probs)))
+        # F at the outcomes from peak - half - 1 on, and from 2^m - peak - half - 1 on
+        self._windows = ((left, peak - half - 1), (1.0 + p0 - left[::-1], size - peak - half - 1))
+
+    @cached_property
+    def distribution(self) -> np.ndarray:
+        return counting_distribution(*self._law)
+
+    def locate(self, v: np.ndarray) -> np.ndarray:
+        b = np.full(v.shape, -1)
+        for edges, first in self._windows:
+            j = np.clip(edges.searchsorted(v, side="right"), 1, edges.size - 1)
+            inside = (edges[j - 1] + self._margin <= v) & (v < edges[j] - self._margin)
+            b[inside] = first + j[inside]
+        missed = b < 0
+        if missed.any():  # in a tail, between the windows, or near an edge
+            b[missed] = super().locate(v[missed])
+        return b
+
+
+def _left_tail(x: float, last: int, size: int, p0: float) -> float:
+    """The effective counting law's mass on outcomes 0..last, by Euler-Maclaurin.
+
+    Outcome 0 carries the kernel f(t) = s / (2^m sin(pi (x - t) / 2^m))^2 at
+    0, and b with its mirror half of f(b) + f(-b): the mass is
+    (f(0) + sum_{|t| <= last} f(t)) / 2. With r = pi / 2^m, c = cot(r (x - t))
+    and q = 1 + c^2, f = s r^2 q / pi^2 integrates to s r c / pi^2,
+    f' = 2 s r^3 c q / pi^2 and f''' = 8 s r^5 c q (3q - 1) / pi^2. As f'''' > 0,
+    the remainder after the f' / 12 and -f''' / 720 end terms is at most
+    2 zeta(4) / (2 pi)^4 of the rise of f''', about 3.4e-3 s / (x0 - last - 1)^5.
+    """
+    r = math.pi / size
+    total = 0.0  # times s r / pi^2: the integral and end corrections, then f at both ends
+    for t, sign in ((last, 1.0), (-last, -1.0)):
+        c = 1.0 / math.tan(r * (x - t))
+        q = 1.0 + c * c
+        total += sign * c * (1.0 + r * r * q / 6.0 - r**4 * q * (3 * q - 1) / 90.0) + r * q / 2.0
+    s = math.sin(math.pi * (x - round(x))) ** 2
+    return (p0 + s * r / math.pi**2 * total) / 2.0
 
 
 def _dense_counting_distribution(oracle: OracleCircuit, m: int) -> np.ndarray:
@@ -620,7 +721,7 @@ def _median_count(
     samples: int,
 ) -> tuple[int, CountEstimate]:
     est = quantum_counting(oracle, m, rng, backend)
-    draws = est.cdf.searchsorted(rng.random(samples), side="right")
+    draws = est.law.locate(rng.random(samples))
     rounded = sorted(estimate_from_outcome(int(b), m, est.n_space)[2] for b in draws)
     return rounded[len(rounded) // 2], est
 

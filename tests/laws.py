@@ -4,7 +4,9 @@ On the effective backend a Grover run of j iterations over N indices, M of
 them marked, measures a marked index with probability sin^2((2j+1) theta/2),
 where sin^2(theta/2) = M/N (Boyer, Brassard, Hoyer and Tapp 1998). Every
 other draw an algorithm makes is a uniform integer, so its law is a function
-of (N, M) and its budget alone, and is computed here with no sampling.
+of (N, M) and its budget alone, and is computed here with no sampling. A
+count's outcome follows the phase-estimation law of the two eigenphases
++-theta / 2pi (Brassard, Hoyer, Mosca and Tapp 2002).
 
 The constants below restate those of ``qslice.search``; a test asserts that
 they agree, so a change there fails loudly here.
@@ -20,6 +22,10 @@ import numpy as np
 QES_GROWTH = 8.0 / 7.0
 #: Exponential search's default budget, as a multiple of ceil(sqrt(N)).
 QES_BUDGET_FACTOR = 5
+#: Counting samples whose median is enumeration's working count.
+ENUMERATION_SAMPLES = 15
+#: Counting qubits enumeration adds to m_exact(N).
+ENUMERATION_EXTRA_BITS = 4
 
 
 def default_qes_budget(n_space: int) -> int:
@@ -72,6 +78,56 @@ def qes_law(n_space: int, marked: int, budget: int) -> np.ndarray:
         live[calls + 1 : calls + 1 + within] += missed[:within]
         law[0, calls + 1 + within : calls + runs] += missed[within:]
     return law
+
+
+def counting_law(n_space: int, marked: int, m: int) -> np.ndarray:
+    """P(b) of an m-qubit count: the even mixture of the kernels at +-phi.
+
+    With x = 2^m phi, the +phi kernel is
+    sin^2(pi (x - b)) / (2^m sin(pi (x - b) / 2^m))^2, and sin^2(pi (x - b))
+    is taken as sin^2(pi (x - round x)), equal for every integer b. Within
+    1e-12 of an integer, x is a point mass.
+    """
+    size = 1 << m
+    phi = math.asin(math.sqrt(marked / n_space)) / math.pi
+    x = phi * size
+    b = np.arange(size)
+    if abs(x - round(x)) < 1e-12:
+        law = np.zeros(size)
+        law[round(x) % size] += 0.5
+        law[-round(x) % size] += 0.5
+        return law
+    kernel = math.sin(math.pi * (x - round(x))) ** 2 / (size * np.sin(np.pi * (x - b) / size)) ** 2
+    return (kernel + kernel[-b % size]) / 2.0
+
+
+def median_count_law(n_space: int, marked: int, m: int) -> np.ndarray:
+    """The law of the rounded median ``_median_count`` returns, over 0..N.
+
+    Each of ENUMERATION_SAMPLES counts draws b from ``counting_law`` and
+    rounds N sin^2(pi b / 2^m) half to even. The median is at most k when
+    at least ENUMERATION_SAMPLES // 2 + 1 samples are, and at least k when
+    that many are at least k. Each probability is taken as a difference of
+    whichever of those two tails is the smaller, so that the tails keep
+    their precision far below 1e-16.
+    """
+    size = 1 << m
+    theta = 2.0 * np.pi * np.arange(size) / size
+    rounded = np.rint(n_space * np.sin(theta / 2.0) ** 2).astype(int)
+    per_count = np.bincount(rounded, counting_law(n_space, marked, m), minlength=n_space + 1)
+    need = ENUMERATION_SAMPLES // 2 + 1
+
+    def most_samples(p):
+        return sum(
+            math.comb(ENUMERATION_SAMPLES, i) * p**i * (1.0 - p) ** (ENUMERATION_SAMPLES - i)
+            for i in range(need, ENUMERATION_SAMPLES + 1)
+        )
+
+    at_most = most_samples(np.minimum(np.cumsum(per_count), 1.0))
+    at_least = most_samples(np.minimum(np.cumsum(per_count[::-1])[::-1], 1.0))
+    from_below = np.diff(at_most, prepend=0.0)
+    from_above = at_least - np.append(at_least[1:], 0.0)
+    return np.where(at_most <= 0.5, from_below, from_above)
 
 
 def chi_square_sf(statistic: float, dof: int) -> float:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from qslice import cli
 from qslice.cli import main
 
 from conftest import FIXTURE_PATH
@@ -80,3 +81,16 @@ def test_parser_is_built_once_on_the_first_main_call():
     assert after_slice > 0
     assert after_usage_error == after_slice
     assert after_count == after_slice
+
+
+def test_compare_above_the_dense_cap_builds_no_circuit(capsys, monkeypatch):
+    def builder(n):
+        raise AssertionError("a comparator circuit was built above the dense cap")
+
+    for name in ("gt_circuit", "lt_circuit", "eq_circuit"):
+        monkeypatch.setattr(cli, name, builder)
+    code = main(["compare", "100000", "0", "0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: 200001 qubits exceeds the dense cap of 26"]

@@ -1,6 +1,8 @@
-"""Source hygiene: every name a package or test module imports is used in that module."""
+"""Source hygiene: every name a package or test module imports is used in that
+module, and the package imports nothing its declared dependencies lack."""
 
 import ast
+import sys
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -35,3 +37,26 @@ def test_every_name_a_test_module_imports_is_used():
     modules = sorted(TESTS.glob("*.py"))
     assert len(modules) >= 10
     assert not unused_by_module(modules)
+
+
+def imported_roots(source: str) -> set[str]:
+    """Top-level names of the modules an absolute import in ``source`` loads."""
+    roots = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            roots.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+def test_the_package_imports_only_the_standard_library_and_numpy():
+    # pyproject.toml declares numpy alone; a module that a development
+    # environment happens to hold (scipy, say) would pass every test and
+    # break a clean install
+    allowed = set(sys.stdlib_module_names) | {"numpy", "qslice"}
+    foreign = {
+        p.name: sorted(imported_roots(p.read_text()) - allowed) for p in PACKAGE.glob("*.py")
+    }
+    assert {name: roots for name, roots in foreign.items() if roots} == {}
+    assert "numpy" in imported_roots((PACKAGE / "search.py").read_text())

@@ -1,4 +1,5 @@
-"""Exponential search on the effective backend against its exact law (``laws.py``)."""
+"""Exponential search and counting's median on the effective backend against
+their exact laws (``laws.py``)."""
 
 import itertools
 import math
@@ -7,14 +8,18 @@ import numpy as np
 import pytest
 
 from laws import (
+    ENUMERATION_EXTRA_BITS,
+    ENUMERATION_SAMPLES,
     QES_BUDGET_FACTOR,
     QES_GROWTH,
     chi_square_sf,
+    counting_law,
     default_qes_budget,
+    median_count_law,
     qes_law,
     success_probabilities,
 )
-from qslice import ValueTable, qes, search, single_list_oracle
+from qslice import ValueTable, direct_marking_oracle, m_exact, qes, search, single_list_oracle
 
 
 def test_restated_constants_are_qslices():
@@ -22,6 +27,8 @@ def test_restated_constants_are_qslices():
     assert QES_BUDGET_FACTOR == search.DEFAULT_QES_BUDGET_FACTOR
     for n_space in (2, 16, 1000, 4096):
         assert default_qes_budget(n_space) == search.default_qes_budget(n_space)
+    assert ENUMERATION_SAMPLES == search.ENUMERATION_SAMPLES
+    assert ENUMERATION_EXTRA_BITS == search.ENUMERATION_EXTRA_BITS
 
 
 @pytest.mark.parametrize(
@@ -128,3 +135,49 @@ def test_seeded_qes_follows_its_law(marked):
     expected, counts = binned(CHI_RUNS * law.ravel(), observed.ravel())
     statistic = float(((counts - expected) ** 2 / expected).sum())
     assert chi_square_sf(statistic, expected.size - 1) >= 0.01, (marked, statistic, expected.size)
+
+
+@pytest.mark.parametrize("n_space", [2, 16, 256, 4096])
+def test_median_count_law_sums_to_one(n_space):
+    widths = (2, m_exact(n_space) + ENUMERATION_EXTRA_BITS)
+    for marked, m in itertools.product(
+        sorted({0, 1, n_space // 4, n_space // 2 + 1, n_space}), widths
+    ):
+        law = median_count_law(n_space, marked, m)
+        assert law.size == n_space + 1
+        assert (law >= 0.0).all()
+        assert abs(law.sum() - 1.0) < 1e-12, (n_space, marked, m)
+        if m > 2:  # enumeration's width: the median is the true count
+            assert law[marked] > 1.0 - 1e-9, (n_space, marked, m)
+
+
+@pytest.mark.parametrize(
+    "n_space, marked, m", [(16, 3, 3), (256, 5, 12), (256, 200, 12), (4096, 40, 9)]
+)
+def test_counting_law_is_qslices(n_space, marked, m):
+    want = search.counting_distribution(n_space, marked, m)
+    np.testing.assert_allclose(counting_law(n_space, marked, m), want, rtol=0, atol=1e-15)
+
+
+# Fixed before the first run: the (N, M, m) cases, chosen so that the median
+# takes two values each expecting at least 5 runs; the runs per case; each
+# case's seed; and the binning of ``binned``.
+MEDIAN_CASES = [(16, 3, 5), (64, 7, 2), (64, 20, 3)]
+MEDIAN_RUNS = 2000
+
+
+@pytest.mark.parametrize("n_space, marked, m", MEDIAN_CASES)
+def test_seeded_median_count_follows_its_law(n_space, marked, m):
+    oracle = direct_marking_oracle(n_space.bit_length() - 1, list(range(marked)))
+    rng = np.random.default_rng([2002, n_space, marked, m])
+    law = median_count_law(n_space, marked, m)
+    observed = np.zeros(n_space + 1)
+    for _ in range(MEDIAN_RUNS):
+        median, _ = search._median_count(oracle, m, rng, "effective", ENUMERATION_SAMPLES)
+        observed[median] += 1
+    assert not observed[law == 0.0].any()
+    expected, counts = binned(MEDIAN_RUNS * law, observed)
+    assert expected.size >= 2
+    statistic = float(((counts - expected) ** 2 / expected).sum())
+    p_value = chi_square_sf(statistic, expected.size - 1)
+    assert p_value >= 0.01, (n_space, marked, m, statistic, expected.size)

@@ -250,7 +250,7 @@ def test_load_reports_a_bad_row_before_a_later_csv_error():
     assert str(info.value) == "line 3: field 'id' is not an integer"
 
 
-@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
 def test_well_formed_input_is_not_read_row_by_row(monkeypatch, newline):
     def row_by_row(text):
         raise AssertionError("well-formed input was read row by row")
@@ -264,6 +264,24 @@ def test_well_formed_input_is_not_read_row_by_row(monkeypatch, newline):
     assert table.ids.tolist() == list(range(4096))
     assert table.expected_returns.tolist() == [float(f"{r:.6f}") for r in rets]
     assert table.sigmas.values == tuple(quantize(float(f"{s:.6f}"), 10) for s in stds)
+
+
+def test_lone_carriage_returns_are_read_in_one_pass_as_newlines():
+    rows = ["id,expected_return,std_dev", "3,0.25,0.5", "", "1,0.125,0.75", "2,0.5,0.25"]
+    want = portfolio._read_fast("\n".join(rows) + "\n")
+    for text in ("\r".join(rows) + "\r", "\r".join(rows), "\r\n".join(rows) + "\r"):
+        got = portfolio._read_fast(text)
+        assert got is not None, repr(text)
+        for column, expected in zip(got, want):
+            assert column.tobytes() == expected.tobytes() and column.dtype == expected.dtype
+
+
+def test_a_quoted_carriage_return_is_read_row_by_row():
+    text = 'id,expected_return,std_dev\r0,"0.5\r",0.25\r1,0.125,0.5\r'
+    assert portfolio._read_fast(text) is None
+    table = load_frontier(io.StringIO(text, newline=""), 4)
+    assert table.ids.tolist() == [0, 1]
+    assert table.expected_returns.tolist() == [0.5, 0.125]
 
 
 # ---------------------------------------------------------------------------

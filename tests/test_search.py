@@ -368,6 +368,106 @@ def test_counting_draws_are_what_choice_draws(backend, n, m, monkeypatch):
             assert ours.bit_generator.state == theirs.bit_generator.state
 
 
+def reference_cdf(n_space, marked_count, m):
+    """The CDF ``rng.choice`` searches for the full effective counting law."""
+    probs = counting_distribution(n_space, marked_count, m)
+    cdf = (probs / probs.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def placed_share(law, v):
+    """The share of ``v`` an effective counting law places in its windows."""
+    placed = np.zeros(v.shape, dtype=bool)
+    for edges, _ in law._windows:
+        j = np.clip(edges.searchsorted(v, side="right"), 1, edges.size - 1)
+        placed |= (edges[j - 1] + law._margin <= v) & (v < edges[j] - law._margin)
+    return float(placed.mean())
+
+
+# every N from 2^6 to 2^13 at enumeration's width, M = 0, 1, 2, 3, N/4,
+# N/2 - 1, N/2, N/2 + 1, N - 3, N - 1 and N, and four cases whose window
+# half-width W is 126, 127, 128 and 129, on both sides of the least W used
+PEAK_WINDOW_CASES = [
+    (1 << n, k, m_exact(1 << n) + search.ENUMERATION_EXTRA_BITS)
+    for n in range(6, 14)
+    for k in sorted({0, 1, 2, 3, 1 << (n - 2), (1 << (n - 1)) - 1, 1 << (n - 1),
+                     (1 << (n - 1)) + 1, (1 << n) - 3, (1 << n) - 1, 1 << n})
+] + [(128, 63, 9), (512, 255, 9), (128, 19, 10), (128, 5, 11)]
+
+
+def test_peak_windows_locate_every_uniform_where_the_full_cdf_does():
+    gen = np.random.default_rng(20020505)
+    seeded_uniforms = 0
+    widths = {}
+    for size, marked_count, m in PEAK_WINDOW_CASES:
+        law = search._PeakWindows(size, marked_count, m)
+        cdf = reference_cdf(size, marked_count, m)
+        seeded = gen.random(11_000)
+        seeded_uniforms += seeded.size
+        probes = [seeded, [0.0, 1e-300, 0.25, 0.5, 0.75, np.nextafter(1.0, 0.0)]]
+        if law._windows:
+            if law._windows[0][0].size > 2:  # not a point mass
+                widths[size, marked_count, m] = law._windows[0][0].size // 2 - 1
+            assert placed_share(law, seeded) > 0.99, (size, marked_count, m)
+            edges = np.concatenate([edges for edges, _ in law._windows])
+            probes += [edges + d for d in (-1e-13, -1e-16, 0.0, 1e-16, 1e-13)]
+            # the full CDF's own values within 300 outcomes of both peaks, and
+            # the doubles either side of each
+            peak = int(np.argmax(counting_distribution(size, marked_count, m)))
+            peaks = np.concatenate((np.arange(-300, 300) + peak, np.arange(-300, 300) - peak))
+            near = cdf[peaks % cdf.size]
+            probes += [near, np.nextafter(near, 0.0), np.nextafter(near, 1.0)]
+        v = np.concatenate(probes)
+        v = v[(v >= 0.0) & (v < 1.0)]
+        got = law.locate(v)
+        want = cdf.searchsorted(v, side="right")
+        assert (got == want).all(), (size, marked_count, m, v[got != want][:5])
+    assert seeded_uniforms >= 10**6
+    assert widths[128, 19, 10] == 128 and widths[128, 5, 11] == 129
+    assert (128, 63, 9) not in widths and (512, 255, 9) not in widths
+
+
+@pytest.mark.parametrize(
+    "size, marked_count", [(8, 3), (64, 0), (64, 64), (256, 5), (4096, 40), (4096, 4093)]
+)
+def test_effective_count_law_is_the_full_law_bit_for_bit(size, marked_count):
+    m = m_exact(size) + search.ENUMERATION_EXTRA_BITS
+    oracle = direct_marking_oracle(size.bit_length() - 1, list(range(marked_count)))
+    est = quantum_counting(oracle, m, np.random.default_rng(0))
+    want = counting_distribution(size, marked_count, m)
+    assert est.distribution.tobytes() == want.tobytes()
+    assert est.cdf.tobytes() == search._measurement_cdf(want).tobytes()
+    assert est.distribution is est.distribution and est.cdf is est.cdf  # built once
+
+
+def test_counts_placed_in_the_peak_windows_build_no_full_law(monkeypatch):
+    def no_full_law(*args):
+        raise AssertionError(f"the full counting law was built for {args}")
+
+    monkeypatch.setattr(search, "counting_distribution", no_full_law)
+    m = m_exact(4096) + search.ENUMERATION_EXTRA_BITS
+    samples = search.ENUMERATION_SAMPLES
+    for marked_count in (0, 1, 40, 1000, 2048, 4096):
+        oracle = direct_marking_oracle(12, list(range(marked_count)))
+        for seed in range(10):
+            rng = np.random.default_rng([4096, marked_count, seed])
+            median, est = search._median_count(oracle, m, rng, "effective", samples)
+            assert median == marked_count == est.m_rounded
+    with pytest.raises(AssertionError, match="full counting law"):
+        est.distribution
+
+
+def test_peak_windows_leave_under_1e4_of_draws_to_the_full_law_at_4096_rows():
+    m = m_exact(4096) + search.ENUMERATION_EXTRA_BITS
+    for marked_count in range(1, 41):
+        law = search._PeakWindows(4096, marked_count, m)
+        edges, _ = law._windows[0]
+        window_mass = edges[-1] - edges[0]  # the mirrored window's too
+        margin_bands = 4 * law._margin * edges.size
+        assert 1.0 - 2.0 * window_mass + margin_bands <= 1e-4, marked_count
+
+
 # ---------------------------------------------------------------------------
 # Enumeration
 # ---------------------------------------------------------------------------
