@@ -554,12 +554,17 @@ class EffectiveState:
 
 def effective_state_new(n: int) -> EffectiveState:
     """Uniform superposition over 2**n indices."""
+    size = effective_index_size(n)
+    return EffectiveState(np.full(size, 1.0 / math.sqrt(size)))
+
+
+def effective_index_size(n: int) -> int:
+    """2**n, for an n-bit index register within the effective-backend cap."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > EFFECTIVE_INDEX_CAP:
         raise ValueError(f"n={n} exceeds the effective-backend cap {EFFECTIVE_INDEX_CAP}")
-    size = 1 << n
-    return EffectiveState(np.full(size, 1.0 / math.sqrt(size)))
+    return 1 << n
 
 
 def effective_grover_step(state: EffectiveState, marked: Iterable[int]) -> EffectiveState:

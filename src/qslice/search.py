@@ -13,7 +13,9 @@ probabilities bit for bit, so a search draws exactly what simulating from
 |psi> would. The effective backend finds that index as floor(v N) while the
 state is uniform, which takes no step; every other draw, and every uniform
 one near a boundary, is located in the measurement CDF, kept for the last j.
-Enumeration's fixed-j runs are drawn as blocks located in that CDF at once.
+Enumeration's fixed-j runs are drawn as blocks located in that CDF at once,
+and exponential search on an oracle with no marked index cuts all its rounds
+from one block of generator words.
 Dense counting reads the same memo: its register law depends only on the
 overlaps r(k) = <psi|G^k psi>, k < 2^m, recorded next to each marginal, and
 follows from them by one FFT, with no register qubit simulated. A count's
@@ -31,7 +33,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -40,6 +43,7 @@ from .oracles import (
     OracleCircuit,
     ValueTable,
     effective_grover_step,
+    effective_index_size,
     effective_state_new,
     grover_operator,
     single_list_oracle,
@@ -172,10 +176,13 @@ class _EffectiveEvolution(_Evolution):
     rebuilds the whole vector. At j = 0, or with one class empty, the state
     is uniform and its CDF is F(i) = (i + 1) / N, so ``v`` is located as
     floor(v N) with no record and no step; every other ``v`` goes to the
-    measurement CDF. Everything held is O(N).
+    measurement CDF. Everything held is O(N); the 2^n amplitudes are built
+    on the first step, so an oracle searched only while uniform holds none.
     """
 
     def __init__(self, mask: np.ndarray, index_bits: int):
+        self.index_bits = index_bits
+        self._uniform = 1.0 / math.sqrt(effective_index_size(index_bits))
         self.mask = mask
         self.marked = np.flatnonzero(mask)
         first_unmarked = int(np.argmin(mask))
@@ -192,13 +199,17 @@ class _EffectiveEvolution(_Evolution):
         # N boundaries, a share of at most 2 N margin (1.2e-7 at N = 8192) of
         # draws, take the CDF path.
         self._margin = (mask.size + 8) * 2.0**-50
-        super().__init__(effective_state_new(index_bits))
+        super().__init__(None)  # |psi>, built by the first step
 
     def step(self, state):
+        if state is None:
+            state = effective_state_new(self.index_bits)
         return effective_grover_step(state, self.marked)
 
     def _record(self, state) -> tuple[float, float]:
         """The (marked, unmarked) amplitude pair."""
+        if state is None:  # |psi>: the amplitude effective_state_new gives every index
+            return tuple(0.0 if k is None else self._uniform for k in self._probes)
         amps = state.amplitudes
         return tuple(0.0 if k is None else amps[k] for k in self._probes)
 
@@ -327,7 +338,9 @@ def qes(
     measures; on failure the bound grows by the factor 8/7 up to sqrt(N).
     Rounds start while the cumulative iteration count is within budget, so a
     timeout reports at least the budget. Works without knowing the number of
-    solutions; expected cost is O(sqrt(N/M)) oracle calls.
+    solutions; expected cost is O(sqrt(N/M)) oracle calls. On the effective
+    backend with a PCG64 generator, an oracle with no marked index draws its
+    rounds as one block (``_qes_unmarked``), exactly as this loop would.
     """
     _check_backend(backend)
     n_space = oracle.index_size
@@ -335,20 +348,117 @@ def qes(
         budget = default_qes_budget(n_space)
     if budget <= 0:
         raise ValueError("budget must be positive")
+    if backend == "effective" and type(rng.bit_generator) is np.random.PCG64:
+        evolution = _evolution(oracle)
+        if evolution.marked.size == 0:
+            outcome = _qes_unmarked(evolution, rng, budget)
+            if outcome is not None:
+                return outcome
 
-    bound = 1.0
+    ceilings = _qes_ceilings(n_space)
     calls = 0
     rounds: list[RoundLog] = []
     while calls <= budget:
-        j = int(rng.integers(0, math.ceil(bound)))
+        j = int(rng.integers(0, ceilings[min(len(rounds), len(ceilings) - 1)]))
         measured = grover_search(oracle, j, rng, backend)
         calls += j
         accepted = bool(oracle.predicate(measured))
         rounds.append(RoundLog(j, measured, accepted))
         if accepted:
             return SearchOutcome(measured, calls, rounds)
-        bound = min(_QES_GROWTH * bound, math.sqrt(n_space))
     return SearchOutcome(None, calls, rounds)
+
+
+@cache
+def _qes_ceilings(n_space: int) -> tuple[int, ...]:
+    """``qes``'s ceil(bound) per round; every round past the last draws below it."""
+    root = math.sqrt(n_space)
+    bound, ceilings = 1.0, [1]
+    while bound < root:
+        bound = min(_QES_GROWTH * bound, root)
+        ceilings.append(math.ceil(bound))
+    return tuple(ceilings)
+
+
+def _qes_unmarked(
+    evolution: _EffectiveEvolution, rng: np.random.Generator, budget: int
+) -> SearchOutcome | None:
+    """``qes`` on an oracle with no marked index, from one block of PCG64 words.
+
+    Every round fails, so the words each round takes are fixed in advance
+    (``_qes_layout``). The block doubles until a round in it would start over
+    budget, the rounds before that one are cut from it, and the generator is
+    stepped back to where the round loop leaves it. Each v is located as
+    floor(v N) under the evolution's margin, or else by ``locate``. A j that
+    numpy would draw again returns None, with the generator untouched.
+    """
+    bits = rng.bit_generator
+    saved = bits.state
+    n_space = evolution.mask.size
+    # buf[w] is word w of the layout
+    buf = np.array([saved["uinteger"] << 32], dtype=np.uint64)
+    rounds = 2 * len(_qes_ceilings(n_space)) + 16
+    while True:
+        ks, floors, x_at, taken, pending, loaded = _qes_layout(
+            n_space, saved["has_uint32"], rounds
+        )
+        buf = np.concatenate((buf, bits.random_raw(taken[-1] + 1 - buf.size)))
+        product = buf.astype("<u8", copy=False).view("<u4")[x_at] * ks  # low half first
+        j = product >> 32
+        run = int(np.cumsum(j).searchsorted(budget, side="right")) + 1
+        if run <= rounds:  # round ``run`` would start over budget
+            break
+        rounds *= 2
+    if (product[:run] & 0xFFFFFFFF < floors[:run]).any():
+        bits.state = saved
+        return None
+    bits.advance(int(taken[run - 1]) + 1 - buf.size)  # back over the words no round took
+    state = bits.state
+    state["has_uint32"], state["uinteger"] = int(pending[run - 1]), int(buf[loaded[run - 1]] >> 32)
+    bits.state = state
+
+    j, v = j[:run], (buf[taken[:run]] >> 11) * 2.0**-53
+    margin = evolution._margin
+    measured = (v * n_space).astype(np.int64)
+    near = (v < measured / n_space + margin) | (v >= (measured + 1) / n_space - margin)
+    for r in np.flatnonzero(near):
+        measured[r] = evolution.locate(int(j[r]), float(v[r]))
+    rounds = list(map(RoundLog, j.tolist(), measured.tolist(), repeat(False)))
+    return SearchOutcome(None, int(j.sum()), rounds)
+
+
+@cache
+def _qes_layout(n_space: int, has_uint32: int, rounds: int) -> np.ndarray:
+    """Where the first ``rounds`` rounds of ``qes`` take their PCG64 words.
+
+    ``rng.integers(0, k)`` takes nothing for k = 1; else the pending 32-bit
+    half or, with none pending, the low half x of a fresh word, leaving its
+    high half pending. j = x k >> 32, unless (x k) mod 2^32 < (2^32 - k) mod k
+    and numpy draws again. ``rng.random()`` takes a fresh word. Word w >= 1 is
+    the w-th drawn, word 0 holds the entry's pending half as its high half,
+    and half 2w or 2w + 1 is word w's low or high half. The rows give per
+    round: k; that floor; the half x is (0 for k = 1, where j = 0 whatever x);
+    the words taken, the last being the round's v; and after the round the
+    pending flag and the last word loaded, whose high half numpy keeps as
+    ``uinteger``. Callers share the array, so it is read-only.
+    """
+    ceilings = _qes_ceilings(n_space)
+    rows = []
+    taken = loaded = 0
+    for r in range(rounds):
+        k = ceilings[min(r, len(ceilings) - 1)]
+        if k == 1:
+            x_at = 0
+        elif has_uint32:
+            x_at, has_uint32 = 2 * loaded + 1, 0
+        else:
+            taken = loaded = taken + 1
+            x_at, has_uint32 = 2 * loaded, 1
+        taken += 1
+        rows.append((k, (2**32 - k) % k, x_at, taken, has_uint32, loaded))
+    layout = np.array(rows, dtype=np.int64).T.copy()
+    layout.flags.writeable = False
+    return layout
 
 
 # ---------------------------------------------------------------------------
