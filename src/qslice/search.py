@@ -15,7 +15,7 @@ state is uniform, which takes no step; every other draw, and every uniform
 one near a boundary, is located in the measurement CDF, kept for the last j.
 Enumeration's fixed-j runs are drawn as blocks located in that CDF at once,
 and exponential search on an oracle with no marked index cuts all its rounds
-from one block of generator words.
+from one block of generator words, locating them only if its log is read.
 Dense counting reads the same memo: its register law depends only on the
 overlaps r(k) = <psi|G^k psi>, k < 2^m, recorded next to each marginal, and
 follows from them by one FFT, with no register qubit simulated. A count's
@@ -24,8 +24,8 @@ effective count evaluates that CDF in two windows around the law's peaks and
 builds the whole law (one kernel, mirrored) only for a uniform they cannot place.
 
 Sampling is deterministic for a given ``numpy.random.Generator``; independent
-repetitions derive child generators by spawning, so runs are reproducible
-from a single master seed.
+repetitions derive child generators by spawning, one as each starts, so runs
+are reproducible from a single master seed.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from itertools import repeat
 
 import numpy as np
@@ -311,11 +311,22 @@ class RoundLog:
 
 @dataclass
 class SearchOutcome:
-    """Result of one exponential-search run; found_index is None on timeout."""
+    """Result of one exponential-search run; found_index is None on timeout.
+    ``rounds`` may be given as a function that builds it on first read."""
 
     found_index: int | None
     oracle_calls: int
     rounds: list[RoundLog] = field(default_factory=list)
+
+    def __post_init__(self):
+        if callable(self.rounds):  # built by __getattr__
+            self._log = self.__dict__.pop("rounds")
+
+    def __getattr__(self, name):
+        if name != "rounds":
+            raise AttributeError(name)
+        self.rounds = self._log()
+        return self.rounds
 
     @property
     def timed_out(self) -> bool:
@@ -341,6 +352,7 @@ def qes(
     solutions; expected cost is O(sqrt(N/M)) oracle calls. On the effective
     backend with a PCG64 generator, an oracle with no marked index draws its
     rounds as one block (``_qes_unmarked``), exactly as this loop would.
+    Either way the outcome builds its ``RoundLog`` list on first read.
     """
     _check_backend(backend)
     n_space = oracle.index_size
@@ -356,17 +368,18 @@ def qes(
                 return outcome
 
     ceilings = _qes_ceilings(n_space)
-    calls = 0
-    rounds: list[RoundLog] = []
+    found, calls = None, 0
+    iterations, measured, accepted = [], [], []  # the log's columns
     while calls <= budget:
-        j = int(rng.integers(0, ceilings[min(len(rounds), len(ceilings) - 1)]))
-        measured = grover_search(oracle, j, rng, backend)
+        j = int(rng.integers(0, ceilings[min(len(iterations), len(ceilings) - 1)]))
+        iterations.append(j)
+        measured.append(grover_search(oracle, j, rng, backend))
+        accepted.append(bool(oracle.predicate(measured[-1])))
         calls += j
-        accepted = bool(oracle.predicate(measured))
-        rounds.append(RoundLog(j, measured, accepted))
-        if accepted:
-            return SearchOutcome(measured, calls, rounds)
-    return SearchOutcome(None, calls, rounds)
+        if accepted[-1]:
+            found = measured[-1]
+            break
+    return SearchOutcome(found, calls, partial(list, map(RoundLog, iterations, measured, accepted)))
 
 
 @cache
@@ -388,9 +401,9 @@ def _qes_unmarked(
     Every round fails, so the words each round takes are fixed in advance
     (``_qes_layout``). The block doubles until a round in it would start over
     budget, the rounds before that one are cut from it, and the generator is
-    stepped back to where the round loop leaves it. Each v is located as
-    floor(v N) under the evolution's margin, or else by ``locate``. A j that
-    numpy would draw again returns None, with the generator untouched.
+    stepped back to where the round loop leaves it. Each v is located only
+    when the log is read, as ``locate`` would have located it at once. A j
+    that numpy would draw again returns None, with the generator untouched.
     """
     bits = rng.bit_generator
     saved = bits.state
@@ -405,7 +418,8 @@ def _qes_unmarked(
         buf = np.concatenate((buf, bits.random_raw(taken[-1] + 1 - buf.size)))
         product = buf.astype("<u8", copy=False).view("<u4")[x_at] * ks  # low half first
         j = product >> 32
-        run = int(np.cumsum(j).searchsorted(budget, side="right")) + 1
+        calls = np.cumsum(j)
+        run = int(calls.searchsorted(budget, side="right")) + 1
         if run <= rounds:  # round ``run`` would start over budget
             break
         rounds *= 2
@@ -417,14 +431,15 @@ def _qes_unmarked(
     state["has_uint32"], state["uinteger"] = int(pending[run - 1]), int(buf[loaded[run - 1]] >> 32)
     bits.state = state
 
-    j, v = j[:run], (buf[taken[:run]] >> 11) * 2.0**-53
-    margin = evolution._margin
-    measured = (v * n_space).astype(np.int64)
-    near = (v < measured / n_space + margin) | (v >= (measured + 1) / n_space - margin)
-    for r in np.flatnonzero(near):
-        measured[r] = evolution.locate(int(j[r]), float(v[r]))
-    rounds = list(map(RoundLog, j.tolist(), measured.tolist(), repeat(False)))
-    return SearchOutcome(None, int(j.sum()), rounds)
+    def log() -> list[RoundLog]:  # records are a fixed function of j: read at any time
+        v, margin = (buf[taken[:run]] >> 11) * 2.0**-53, evolution._margin
+        measured = (v * n_space).astype(np.int64)
+        near = (v < measured / n_space + margin) | (v >= (measured + 1) / n_space - margin)
+        for r in np.flatnonzero(near):
+            measured[r] = evolution.locate(int(j[r]), float(v[r]))
+        return list(map(RoundLog, j[:run].tolist(), measured.tolist(), repeat(False)))
+
+    return SearchOutcome(None, int(calls[run - 1]), log)
 
 
 @cache
@@ -961,7 +976,7 @@ def gas(
     best_index: int | None = None
     total_calls = 0
     logs: list[RepetitionLog] = []
-    for child in rng.spawn(repetitions):
+    for child in (rng.spawn(1)[0] for _ in range(repetitions)):  # rng.spawn(repetitions), lazily
         j = int(child.integers(0, n_space))
         start = j
         calls = 0

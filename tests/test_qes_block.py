@@ -4,7 +4,8 @@ On the effective backend with a PCG64 generator, ``qes`` lays out the words
 each round takes from numpy's documented draws and cuts its rounds from one
 block of raw words. These tests pin those generator facts by name, and check
 the block against the round-by-round loop on the outcome, every round and the
-whole generator state, including both ways back to the loop.
+whole generator state, including both ways back to the loop. The round log is
+built on first read, and until then locates nothing and steps no state.
 """
 
 import math
@@ -166,11 +167,49 @@ def test_block_qes_locates_margin_rounds_as_the_loop_does(monkeypatch):
                 monkeypatch.setattr(evolution, "_margin", 0.5 / n_space)
             located.clear()
             got = qes(block, ours, budget)
-            assert len(located) == len(got.rounds) and outcomes[-1] is got
+            rounds = got.rounds  # the log locates its rounds when it is read
+            assert len(located) == len(rounds) and outcomes[-1] is got
+            assert got.rounds is rounds and len(located) == len(rounds)  # once
             want = round_loop(reference, theirs, budget)
             assert outcome_fields(got) == outcome_fields(want), (n, seed)
             assert ours.bit_generator.state == theirs.bit_generator.state
             assert len(evolutions[0].records) == len(evolutions[1].records) > 1
+
+
+def test_block_qes_log_unread_takes_no_step_and_read_late_is_the_loops(monkeypatch):
+    located = []
+    reference_locate = search._Evolution.locate
+
+    def counted(self, iterations, v):
+        located.append(v)
+        return reference_locate(self, iterations, v)
+
+    monkeypatch.setattr(search._Evolution, "locate", counted)
+    for n in (4, 9, 13):
+        n_space = 1 << n
+        budget = 6 * math.ceil(math.sqrt(n_space))
+        for seed in range(3):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            block, reference = direct_marking_oracle(n, ()), direct_marking_oracle(n, ())
+            evolution = search._evolution(block)
+            for each in (evolution, search._evolution(reference)):  # every v within the margin
+                monkeypatch.setattr(each, "_margin", 0.5 / n_space)
+            located.clear()
+            got = qes(block, ours, budget)
+            assert not located and len(evolution.records) == 1  # no locate, no step
+            want = round_loop(reference, theirs, budget)
+            assert ours.bit_generator.state == theirs.bit_generator.state
+            # another search steps the evolution past every round's j and
+            # leaves its CDF at that j
+            beyond = search._qes_ceilings(n_space)[-1] + 2
+            search.grover_search(block, beyond, np.random.default_rng(99))
+            assert len(evolution.records) == beyond + 1 and evolution._cdf_iterations == beyond
+            located.clear()
+            state = ours.bit_generator.state
+            assert outcome_fields(got) == outcome_fields(want), (n, seed)
+            assert len(located) == len(got.rounds) and ours.bit_generator.state == state
+            eager = search.SearchOutcome(want.found_index, want.oracle_calls, list(want.rounds))
+            assert got == eager and repr(got) == repr(eager)
 
 
 def test_block_qes_hands_a_redrawn_j_to_the_round_loop(monkeypatch):

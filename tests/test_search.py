@@ -970,8 +970,9 @@ class Spawner:
         self.children = []
 
     def spawn(self, count):
-        self.children = self.rng.spawn(count)
-        return self.children
+        children = self.rng.spawn(count)
+        self.children += children
+        return children
 
 
 def choice_cdf(probs):
@@ -1030,6 +1031,32 @@ def test_effective_gas_is_the_stepped_choice_loop(n):
         assert ours.rng.bit_generator.state == theirs.rng.bit_generator.state
         for mine, reference in zip(ours.children, theirs.children, strict=True):
             assert mine.bit_generator.state == reference.bit_generator.state
+
+
+class SpawnOne(np.random.Generator):
+    """A generator that refuses to spawn more than one child at a time."""
+
+    def spawn(self, n_children):
+        assert n_children == 1
+        return super().spawn(n_children)
+
+
+def test_gas_spawns_each_child_as_its_repetition_starts():
+    gen = np.random.default_rng(12)
+    table = ValueTable(6, gen.integers(0, 64, 1 << 9).tolist())
+    # results of ``rng.spawn(4)`` up front, with ``default_rng(seed)``
+    want = {
+        0: (154, 63, 2504, [(410, 154, 625, 2), (338, 421, 624, 1), (336, 154, 626, 5), (456, 395, 629, 4)]),
+        5: (421, 63, 2510, [(112, 421, 627, 5), (275, 152, 633, 4), (411, 395, 624, 6), (113, 359, 626, 1)]),
+    }
+    for seed, (index, value, calls, logs) in want.items():
+        rng = SpawnOne(np.random.PCG64(seed))
+        result = gas(table, "max", rng, 4)
+        assert (result.index, result.value, result.oracle_calls) == (index, value, calls)
+        assert result.repetitions == [search.RepetitionLog(*log) for log in logs]
+        # the parent draws nothing and has spawned what ``rng.spawn(4)`` spawns
+        assert rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+        assert rng.bit_generator.seed_seq.n_children_spawned == 4
 
 
 def test_effective_draw_with_no_unmarked_mass():
