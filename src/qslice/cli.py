@@ -23,6 +23,10 @@ from .comparators import ComparatorLayout, eq_circuit, gt_circuit, lt_circuit
 from .search import BACKENDS, SearchDisagreement, t_for_resolution
 from .sim import apply, new_basis_state
 
+#: Largest ``max-sharpe --repeat``: the repetitions run one after another, so
+#: a count beyond any useful one would only run until it is killed.
+MAX_REPEAT = 10_000
+
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors are input errors: usage, one ``error:`` line, exit code 1."""
@@ -183,6 +187,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise ValueError("count needs --return-min and/or --risk-max")
         if args.command == "max-sharpe" and args.repeat < 1:
             raise ValueError("--repeat must be >= 1")
+        if args.command == "max-sharpe" and args.repeat > MAX_REPEAT:
+            raise ValueError(f"--repeat must be <= {MAX_REPEAT}")
         table = _load(args)
         rng = np.random.default_rng(args.seed)
         result, payload = _COMMANDS[args.command](args, table, rng)

@@ -2,7 +2,11 @@
 
 The searches run on either backend:
 
-* ``dense`` prepares the oracle's full workspace and simulates every gate;
+* ``dense`` prepares the oracle's full workspace and applies every gate,
+  stepping only the sector of it that can hold amplitude: the basis states
+  in which each qubit that |psi> holds at one value, and that no compiled
+  stage of the Grover operator moves (such as a threshold register), keeps
+  that value;
 * ``effective`` evolves index amplitudes only (exact for these oracles) and
   scales to list sizes far beyond dense reach.
 
@@ -227,20 +231,28 @@ class _EffectiveEvolution(_Evolution):
 
 
 class _DenseEvolution(_Evolution):
-    """The whole workspace statevector, recorded per j as its index marginal
-    and its overlap r(j) = <psi|G^j psi>.
+    """The workspace statevector in its sector, recorded per j as its index
+    marginal and its overlap r(j) = <psi|G^j psi>.
 
-    The Grover operator is built once and only the furthest state is kept.
-    |psi> is nonzero on at most 2^(n+1) entries (a uniform index register,
-    every other qubit in its reference bit, the oracle qubit in |->), so each
-    overlap is an ``einsum`` over them, which unlike ``np.vdot`` calls no BLAS.
+    The Grover operator is built and compiled once from the full circuit, and
+    only the furthest state is kept. Its stages are stepped on the sector of
+    |psi> alone (``sim.Sector``): every qubit that |psi> holds at one basis
+    value, and that no compiled stage moves, keeps that value through every
+    step, so its other value's amplitudes stay exactly zero and are never
+    stored. A threshold register drops out where one fused monomial holds
+    the comparator's X chain, which writes it and restores it; a register a
+    dense block spans, such as the estimate register, stays. Every gate is
+    still applied. Each overlap is
+    an ``einsum`` over the nonzero entries of the sector's |psi>, which
+    unlike ``np.vdot`` calls no BLAS.
     """
 
     def __init__(self, oracle: OracleCircuit):
         # a workspace above the dense cap is refused before anything is built
         psi = sim.apply(sim.new_basis_state(oracle.num_qubits, 0), oracle.prep_circuit)
-        self.operator = grover_operator(oracle)
-        self.index = oracle.layout.index
+        self.operator = sim.Sector(grover_operator(oracle), psi)
+        self.index = tuple(map(self.operator.position, oracle.layout.index))
+        psi = self.operator.restrict(psi)
         self._support = np.flatnonzero(psi.amplitudes)
         self._bra = psi.amplitudes[self._support].conj()
         super().__init__(psi)

@@ -32,7 +32,12 @@ Each table is built by running the stage's own gates once through that
 reference kernel: on a batched identity for a block, and on an index ramp
 and a vector of ones for a monomial run. The fused result differs from the
 gate-by-gate loop only by the rounding of multiplying the gates' factors
-together first, about 1e-15 on the tested circuits.
+together first, about 1e-15 on the tested circuits. The last 64 distinct
+stages built are kept and shared by every circuit with an equal run.
+
+A ``Sector`` restricts a compiled circuit to the basis states in which the
+qubits that a given state holds at one value, and that no stage moves, keep
+that value; ``apply`` runs it on the sector's amplitudes alone.
 """
 
 from __future__ import annotations
@@ -356,12 +361,13 @@ def _apply_gate(tensor: np.ndarray, num_qubits: int, gate: Gate, offset: int = 0
         view *= factors.reshape((2,) * k).transpose(np.argsort(axes)).reshape(shape)
 
 
-def apply(state: StateVector, circuit: Circuit) -> StateVector:
+def apply(state: StateVector, circuit: Circuit | Sector) -> StateVector:
     """Apply the circuit's compiled stages in order; returns a norm-checked state.
 
-    The stages act on a copy of the amplitudes. Fused stages work through
-    ``_CHUNK`` amplitudes of scratch; a gate run alone copies what the
-    reference kernel copies.
+    A ``Sector`` takes a state on its own qubits, as its ``restrict`` gives
+    it. The stages act on a copy of the amplitudes. Fused stages work
+    through ``_CHUNK`` amplitudes of scratch; a gate run alone copies what
+    the reference kernel copies.
     """
     if circuit.num_qubits != state.num_qubits:
         raise ValueError(
@@ -404,10 +410,19 @@ class _Stage:
     """
 
     def __init__(self, num_qubits: int, lo: int, span: int):
+        self.lo, self.span = lo, span
         self.shape = (1 << (num_qubits - lo - span), 1 << span, 1 << lo)
 
     def run(self, amps: np.ndarray, scratch: np.ndarray) -> None:
         """Rewrite ``amps`` in place, using ``scratch`` as workspace."""
+        raise NotImplementedError
+
+    def moves(self) -> int:
+        """Bit mask of the qubits the stage may take out of a basis value."""
+        return ((1 << self.span) - 1) << self.lo
+
+    def restrict(self, sector: Sector) -> _Stage:
+        """The same stage on the sector's qubits; it must move none the sector fixes."""
         raise NotImplementedError
 
     def _chunks(self, amps: np.ndarray, scratch: np.ndarray):
@@ -440,6 +455,27 @@ class _Monomial(_Stage):
         self.gather = None if np.array_equal(gather, identity) else gather
         self.diagonal = None if np.all(diagonal == 1.0) else diagonal.reshape(-1, 1).copy()
 
+    def moves(self):
+        if self.gather is None:
+            return 0
+        return int(np.bitwise_or.reduce(self.gather ^ np.arange(self.gather.size))) << self.lo
+
+    def restrict(self, sector):
+        # the span's rows inside the sector, ascending: the renumbered span's
+        # rows in order, and the gather maps them among themselves
+        size = self.shape[1]
+        mask = sector.fixed >> self.lo & (size - 1)
+        rows = np.flatnonzero((np.arange(size) & mask) == (sector.values >> self.lo & mask))
+        gather = rows if self.gather is None else self.gather[rows]
+        diagonal = np.ones(rows.size) if self.diagonal is None else self.diagonal[rows]
+        return _Monomial(
+            sector.num_qubits,
+            sector.position(self.lo),
+            self.span - mask.bit_count(),
+            rows.searchsorted(gather),
+            diagonal,
+        )
+
     def run(self, amps, scratch):
         if self.gather is None:
             if self.diagonal is not None:
@@ -465,6 +501,9 @@ class _Block(_Stage):
         self.matrix = matrix
         self._transpose = np.ascontiguousarray(matrix.T)
         self._width = max(1, _GEMM_MNK >> (2 * span))  # vectors per product
+
+    def restrict(self, sector):
+        return _Block(sector.num_qubits, sector.position(self.lo), self.span, self.matrix)
 
     def run(self, amps, scratch):
         for chunk, out in self._chunks(amps, scratch):
@@ -499,6 +538,14 @@ class _Single(_Stage):
     def run(self, amps, scratch):
         _apply_gate(amps.reshape((2,) * self.num_qubits), self.num_qubits, self.gate)
 
+    def moves(self):
+        return sum(1 << q for q in self.gate.qubits)
+
+    def restrict(self, sector):
+        g = self.gate
+        targets, controls = (tuple(map(sector.position, qs)) for qs in (g.targets, g.controls))
+        return _Single(sector.num_qubits, Gate(g.kind, targets, controls, g.matrix, g.turns))
+
 
 def _compile(circuit: Circuit) -> tuple[_Stage, ...]:
     """Fuse the gates, in order, into maximal stages under the span caps."""
@@ -518,19 +565,26 @@ def _compile(circuit: Circuit) -> tuple[_Stage, ...]:
             lo, hi, mixing = min(lo, g_lo), max(hi, g_hi), mixing or g_mixing
             continue
         if run:
-            stages.append(_fuse(n, run, lo, hi, mixing))
+            stages.append(_fuse(n, tuple(run), lo, hi, mixing))
         if fits(g_lo, g_hi, g_mixing):
             run, lo, hi, mixing = [gate], g_lo, g_hi, g_mixing
         else:
             stages.append(_Single(n, gate))
             run, lo, hi, mixing = [], n, -1, False
     if run:
-        stages.append(_fuse(n, run, lo, hi, mixing))
+        stages.append(_fuse(n, tuple(run), lo, hi, mixing))
     return tuple(stages)
 
 
-def _fuse(num_qubits: int, gates: list[Gate], lo: int, hi: int, mixing: bool) -> _Stage:
-    """One stage over lo..hi, its tables built by the reference kernel, gate by gate."""
+@functools.lru_cache(maxsize=64)
+def _fuse(num_qubits: int, gates: tuple[Gate, ...], lo: int, hi: int, mixing: bool) -> _Stage:
+    """One stage over lo..hi, its tables built by the reference kernel, gate by gate.
+
+    Stages are never modified once built, so equal runs share one: the
+    Grover operators of oracles that differ only in their thresholds, whose
+    values the prepared state holds, and the QFT and diffusion blocks of
+    oracles of one size, compile once.
+    """
     if hi < lo:  # global phases only
         lo, hi = 0, -1
     span = hi - lo + 1
@@ -551,6 +605,56 @@ def _fuse(num_qubits: int, gates: list[Gate], lo: int, hi: int, mixing: bool) ->
     for g in gates:
         _apply_gate(both if g.kind == KIND_X else diagonal, span, g, lo)
     return _Monomial(num_qubits, lo, span, tables[:, 0].real.astype(np.intp), tables[:, 1])
+
+
+class Sector:
+    """A circuit's compiled stages, restricted to the sector a state lies in.
+
+    The sector is the set of basis states in which every qubit that the
+    state holds at one basis value, and that no stage of the circuit moves,
+    keeps that value. A stage moves a qubit if it is a dense block spanning
+    it, a gate run alone touching it, or a monomial whose gather flips it;
+    a gather that flips a qubit and later restores it, as a comparator's X
+    chain does to its threshold register, moves nothing as a whole. Each
+    stage maps the sector to itself, so ``apply`` runs the restricted stages
+    on the sector's amplitudes alone (``restrict``), with the remaining
+    qubits renumbered in order: blocks and lone gates only change shape or
+    numbering, and monomials keep the sector's rows of their gather and
+    diagonal. Every gate of the circuit is still applied.
+    """
+
+    def __init__(self, circuit: Circuit, state: StateVector):
+        if circuit.num_qubits != state.num_qubits:
+            raise ValueError(
+                f"circuit has {circuit.num_qubits} qubits, state has {state.num_qubits}"
+            )
+        support = np.flatnonzero(state.amplitudes)
+        ones = int(np.bitwise_and.reduce(support))  # the bits every held basis state sets
+        held = ~(ones ^ int(np.bitwise_or.reduce(support)))
+        moved = 0
+        for stage in circuit.stages:
+            moved |= stage.moves()
+        #: Bit masks of the fixed qubits and of the values they keep.
+        self.fixed = held & ~moved & ((1 << circuit.num_qubits) - 1)
+        self.values = ones & self.fixed
+        #: The full circuit's qubits that remain, in order, and its gates.
+        self.kept = tuple(q for q in range(circuit.num_qubits) if not self.fixed >> q & 1)
+        self.num_qubits = len(self.kept)
+        self.gates = circuit.gates
+        self.stages = tuple(stage.restrict(self) for stage in circuit.stages)
+
+    def position(self, qubit: int) -> int:
+        """The number of kept qubits below ``qubit``: its own number if it is kept."""
+        return sum(1 for q in self.kept if q < qubit)
+
+    def restrict(self, state: StateVector) -> StateVector:
+        """The sector's amplitudes of a full-width state, as a state on the kept qubits."""
+        index = tuple(  # one axis per qubit, most significant first
+            self.values >> q & 1 if self.fixed >> q & 1 else slice(None)
+            for q in reversed(range(state.num_qubits))
+        )
+        amps = state.amplitudes.reshape((2,) * state.num_qubits)[index]
+        return StateVector(self.num_qubits, amps.reshape(-1).copy())
 
 
 # ---------------------------------------------------------------------------

@@ -278,3 +278,23 @@ def test_dense_slice_holds_only_the_workspace(capsys, tmp_path):
     assert dense["qubit_layout"]["num_qubits"] == 15
     assert dense["count_estimate"]["m"] == 7
     assert peak < 16 << 20
+
+
+def test_dense_slice_at_three_value_bits_matches_classical_filter(capsys):
+    # t = 3: a 21-qubit two-list oracle, stepped on its 14-qubit sector
+    args = ("slice", "--input", FIXTURE, "--resolution", "0.125",
+            "--return-min", "0.0", "--risk-max", "0.3", "--seed", "7")
+    code, out, _ = run_cli(capsys, *args, "--backend", "dense")
+    assert code == 0
+    dense = json.loads(out)
+    from qslice import load_frontier
+
+    with open(FIXTURE) as handle:
+        want = sorted(classical_slice_ids(load_frontier(handle, 3), 0.0, 0.3))
+    assert want == [1, 2, 3]
+    assert dense["selected_ids"] == want
+    assert dense["qubit_layout"]["num_qubits"] == 21
+    code, out, _ = run_cli(capsys, *args, "--backend", "effective")
+    assert code == 0
+    effective = json.loads(out)
+    assert {**dense, "backend": "effective"} == effective

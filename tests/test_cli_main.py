@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from qslice import cli
-from qslice.cli import main
+from qslice.cli import MAX_REPEAT, main
 
 from conftest import FIXTURE_PATH
 
@@ -34,6 +34,16 @@ def test_repeat_is_refused_before_the_input_is_read(capsys, tmp_path):
     assert code == 1
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: --repeat must be >= 1"]
+
+
+@pytest.mark.parametrize("repeat", [str(MAX_REPEAT + 1), "100000000000000000000"])
+def test_repeat_above_the_maximum_is_one_error_line(capsys, repeat):
+    # refused before the input is read: a run of that many repetitions never ends
+    code = main(["max-sharpe", "--input", FIXTURE_PATH, "--repeat", repeat])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: --repeat must be <= {MAX_REPEAT}"]
 
 
 # Counts argparse parsers (subparsers included) built by the import and by

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from qslice import (
     ANGLE_BITS,
     ValueTable,
+    any_of,
+    condition_oracle,
     counting_distribution,
     counting_register,
     delta_m_bound,
@@ -23,7 +25,9 @@ from qslice import (
     grover_operator,
     grover_plan,
     grover_search,
+    greater_than,
     iteration_count,
+    less_than,
     m_detect,
     m_exact,
     quantum_counting,
@@ -1149,6 +1153,91 @@ def test_dense_search_builds_one_operator_and_steps_to_the_largest_count(monkeyp
     op = oracle.dense_evolution.operator
     assert sum(c is op for c in applied) == max(STREAM_ITERATIONS)
     assert len(applied) == max(STREAM_ITERATIONS) + 1  # and one preparation
+
+
+def sector_oracles():
+    gen = np.random.default_rng(81)
+
+    def table(t):
+        return ValueTable(t, gen.integers(0, 1 << t, 8))
+
+    oracles = {
+        f"single-list {op} t={t}": single_list_oracle(table(t), int(gen.integers(0, 1 << t)), op)
+        for t in (4, 5)
+        for op in ("gt", "lt", "eq")
+    }
+    oracles["two-list t=2"] = two_list_oracle(table(2), table(2), 1, 2)
+    oracles["or tree"] = condition_oracle(any_of(greater_than(table(2), 2), less_than(table(2), 1)))
+    oracles["direct marking"] = direct_marking_oracle(3, (2, 5, 6))
+    return oracles
+
+
+@pytest.mark.parametrize("name", list(sector_oracles()))
+def test_dense_sector_records_match_the_full_width_statevector(name):
+    oracle = sector_oracles()[name]
+    evolution = search._evolution(oracle, "dense")
+    psi = sim.apply(sim.new_basis_state(oracle.num_qubits, 0), oracle.prep_circuit)
+    op = grover_operator(oracle)
+    state = psi
+    for j in range(13):
+        marginal, overlap = evolution.record(j)
+        want = sim.subregister_distribution(state, oracle.layout.index)
+        assert np.max(np.abs(marginal - want)) < 1e-12, (name, j)
+        assert abs(overlap - np.vdot(psi.amplitudes, state.amplitudes)) < 1e-12, (name, j)
+        state = sim.apply(state, op)
+
+
+def test_dense_sector_widths():
+    oracles = sector_oracles()
+    width = {name: search._evolution(o, "dense").operator.num_qubits for name, o in oracles.items()}
+    # 14 qubits: index 3 and estimate 5 and the oracle qubit; the threshold
+    # register, restored by the comparator's fused X chain, drops out
+    assert oracles["single-list gt t=5"].num_qubits == 14
+    assert width["single-list gt t=5"] == 9
+    assert oracles["single-list gt t=5"].dense_evolution.state.amplitudes.size == 1 << 9
+    # two lists: the fan-out's CX stage moves the index copy, which stays;
+    # both flags, written and restored inside one fused monomial, drop out
+    assert (oracles["two-list t=2"].num_qubits, width["two-list t=2"]) == (17, 11)
+    assert width["or tree"] == 8
+    assert width["direct marking"] == 3  # nothing to drop
+
+
+def test_dense_sector_keeps_what_a_stage_moves():
+    gen = np.random.default_rng(82)
+    # t = 4: the IQFT block over the estimate register absorbs the
+    # comparator's first CX, so threshold bit 0 stays and bits 1-3 drop
+    oracle = single_list_oracle(ValueTable(4, gen.integers(0, 16, 8)), 6, "gt")
+    threshold = oracle.layout["threshold"]
+    assert any(
+        isinstance(stage, sim._Block) and stage.lo <= threshold[0] < stage.lo + stage.span
+        for stage in grover_operator(oracle).stages
+    )
+    sector = search._evolution(oracle, "dense").operator
+    assert threshold[0] in sector.kept and not set(threshold[1:]) & set(sector.kept)
+    assert sector.num_qubits == 9
+    # t = 3 two-list: a phase estimation's controlled PHASE runs alone
+    oracle = two_list_oracle(
+        ValueTable(3, gen.integers(0, 8, 8)), ValueTable(3, gen.integers(0, 8, 8)), 3, 4
+    )
+    sector = search._evolution(oracle, "dense").operator
+    singles = [stage for stage in sector.stages if isinstance(stage, sim._Single)]
+    assert singles and all(
+        sector.kept[q] in oracle.layout["index_copy"] + oracle.layout["risk_estimate"]
+        for stage in singles
+        for q in stage.gate.qubits
+    )
+    assert (oracle.num_qubits, sector.num_qubits) == (21, 14)
+
+
+def test_oracles_differing_only_in_threshold_share_compiled_stages():
+    # the threshold lives in the prepared state, not in the Grover operator
+    table = ValueTable(4, (1, 9, 3, 15, 0, 7, 12, 5))
+    low, high = (single_list_oracle(table, s, "gt") for s in (3, 9))
+    assert grover_operator(low).gates == grover_operator(high).gates
+    shared = zip(grover_operator(low).stages, grover_operator(high).stages, strict=True)
+    assert all(a is b for a, b in shared)
+    sectors = [search._evolution(o, "dense").operator for o in (low, high)]
+    assert sectors[0].kept == sectors[1].kept and sectors[0].values != sectors[1].values
 
 
 def lifted_counting_distribution(oracle, m):

@@ -234,6 +234,29 @@ def test_stage_tables_fit_their_span(num_qubits):
     assert spans
 
 
+def test_sector_steps_only_the_qubits_a_stage_moves():
+    # qubits 0-3 in a random state; 4-12 held at one value, with 4, 5 and 7 set
+    n, held = 13, 0b1011 << 4
+    rng = np.random.default_rng(12)
+    work = _random_state(rng, 4).amplitudes
+    amps = np.zeros(1 << n, dtype=np.complex128)
+    amps[held : held + 16] = work
+    state = StateVector(n, amps)
+    gates = list(remap(_mixed_circuit(rng, 4, 30), {}, n).gates)
+    # one monomial flips 4 and 5 and restores them; 6 is flipped for good
+    gates += [x(5, {0}), x(4), phase((4, 5), (0.0, 0.1, 0.2, 0.3)), x(4), x(5, {0})]
+    gates += [h(9), h(0, {12}), x(6, {1})]
+    circ = Circuit(n, tuple(gates))
+    sector = sim.Sector(circ, state)
+    assert sector.kept == (0, 1, 2, 3, 6, 9, 12)
+    assert sector.gates == circ.gates
+    got = apply(sector.restrict(state), sector).amplitudes
+    full = apply(state, circ)
+    want = sector.restrict(full).amplitudes
+    assert np.max(np.abs(got - want)) < 1e-12
+    assert abs(np.linalg.norm(want) - 1.0) < 1e-12  # nothing left the sector
+
+
 # ---------------------------------------------------------------------------
 # Measurement
 # ---------------------------------------------------------------------------
