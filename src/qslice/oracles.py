@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -74,6 +74,7 @@ class ValueTable:
         self.bits = bits
         self.array = np.asarray(values, dtype=np.int64).view()
         self.array.flags.writeable = False
+        self.token = object()  # what memos key on, never on the values
 
     @cached_property
     def values(self) -> tuple[int, ...]:
@@ -174,6 +175,8 @@ class OracleCircuit:
     description: str = ""
     reference_basis: int = 0
     oracle_qubit: int | None = None
+    #: Equal for oracles that differ only in thresholds, and so in no gate; None: unshared.
+    operator_key: tuple | None = None
     #: The effective and dense Grover evolutions memoised by ``search``; they
     #: hold the mask, or the Grover operator and a workspace state, but never
     #: the oracle, so neither forms a reference cycle with it.
@@ -385,7 +388,7 @@ def _compile(
         target = qubit_of(node)
         if isinstance(node, Atom):
             est, thr = blocks[atoms.index(node)]
-            return remap(_COMPARATORS[node.op][0](t), est + thr + (target,), nq)
+            return _comparator(node.op, t, est + thr + (target,), nq)
         inputs = list(dict.fromkeys(qubit_of(c) for c in node.children))
         make = comparators.and_combiner if isinstance(node, AllOf) else comparators.or_combiner
         return make(inputs, target, nq)
@@ -410,7 +413,17 @@ def _compile(
         description,
         reference_basis=sum(a.threshold << thr[0] for a, (_, thr) in zip(atoms, blocks)),
         oracle_qubit=oracle_qubit,
+        operator_key=(fanout, *(  # the tree in post-order, thresholds dropped
+            (qubit_of(c), c.op, c.table.token) if isinstance(c, Atom)
+            else (qubit_of(c), type(c), len(c.children)) for c in _walk(cond)
+        )),
     )
+
+
+@lru_cache(maxsize=64)
+def _comparator(op: str, t: int, qubits: tuple[int, ...], num_qubits: int) -> Circuit:
+    """The t-bit ``op`` comparator on (estimate, threshold, outcome) ``qubits``."""
+    return remap(_COMPARATORS[op][0](t), qubits, num_qubits)
 
 
 _SINGLE_LIST_NAMES = {"estimate_0": "estimate", "threshold_0": "threshold"}
@@ -505,11 +518,15 @@ def diffusion_circuit(n: int, qubits: Sequence[int] | None = None, num_qubits: i
 
     A trailing global half-turn record cancels the sign of the textbook
     H X MCZ X H construction, so the operator carries no phase slack; that
-    matters once the circuit is controlled for counting.
+    matters once the circuit is controlled for counting. 64 shapes are kept.
     """
+    return _diffusion(n, tuple(range(n) if qubits is None else qubits), num_qubits)
+
+
+@lru_cache(maxsize=64)
+def _diffusion(n: int, reg: tuple[int, ...], num_qubits: int | None) -> Circuit:
     if n < 1:
         raise ValueError("n must be >= 1")
-    reg = tuple(qubits) if qubits is not None else tuple(range(n))
     if len(reg) != n:
         raise ValueError("qubit list length must equal n")
     nq = (max(reg) + 1) if num_qubits is None else num_qubits

@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
+from functools import cache, cached_property, lru_cache, partial
 from itertools import repeat
 
 import numpy as np
@@ -234,25 +234,31 @@ class _DenseEvolution(_Evolution):
     """The workspace statevector in its sector, recorded per j as its index
     marginal and its overlap r(j) = <psi|G^j psi>.
 
-    The Grover operator is built and compiled once from the full circuit, and
-    only the furthest state is kept. Its stages are stepped on the sector of
-    |psi> alone (``sim.Sector``): every qubit that |psi> holds at one basis
-    value, and that no compiled stage moves, keeps that value through every
-    step, so its other value's amplitudes stay exactly zero and are never
-    stored. A threshold register drops out where one fused monomial holds
-    the comparator's X chain, which writes it and restores it; a register a
-    dense block spans, such as the estimate register, stays. Every gate is
-    still applied. Each overlap is
-    an ``einsum`` over the nonzero entries of the sector's |psi>, which
-    unlike ``np.vdot`` calls no BLAS.
+    The Grover operator is built and compiled once per ``operator_key``, that
+    is per value table and comparison, and only the furthest state is kept.
+    Its stages are stepped on the sector of |psi> alone (``sim.Sector``):
+    every qubit but the index and oracle qubits that no stage moves keeps
+    its ``reference_basis`` bit. A threshold register drops out where one
+    fused monomial holds the comparator's X chain, which writes it and
+    restores it; a register a dense block spans stays. |psi> is prepared on
+    the sector by the prep circuit's gates on the kept qubits, and every
+    gate is still applied. Each overlap is an ``einsum`` over the nonzero
+    entries of the sector's |psi>, which unlike ``np.vdot`` calls no BLAS.
     """
 
     def __init__(self, oracle: OracleCircuit):
-        # a workspace above the dense cap is refused before anything is built
-        psi = sim.apply(sim.new_basis_state(oracle.num_qubits, 0), oracle.prep_circuit)
-        self.operator = sim.Sector(grover_operator(oracle), psi)
-        self.index = tuple(map(self.operator.position, oracle.layout.index))
-        psi = self.operator.restrict(psi)
+        sim.check_capacity(oracle.num_qubits)  # refused by its full width before anything is built
+        slot = _operator_slot(oracle.operator_key) if oracle.operator_key else []
+        if not slot:
+            slot.append(grover_operator(oracle))
+        moving = sum(1 << q for q in (*oracle.layout.index, oracle.oracle_qubit) if q is not None)
+        self.operator = sector = sim.Sector(slot[0], held=~moving, values=oracle.reference_basis)
+        # the X gates on fixed qubits set the values the sector holds
+        prep = [g for g in oracle.prep_circuit.gates if not sector.fixed >> g.targets[0] & 1]
+        prep = sim.Circuit(oracle.num_qubits, prep)
+        prep = sim.remap(prep, dict(zip(sector.kept, range(prep.num_qubits))), sector.num_qubits)
+        psi = sim.apply(sim.new_basis_state(sector.num_qubits, 0), prep)
+        self.index = tuple(map(sector.position, oracle.layout.index))
         self._support = np.flatnonzero(psi.amplitudes)
         self._bra = psi.amplitudes[self._support].conj()
         super().__init__(psi)
@@ -266,6 +272,12 @@ class _DenseEvolution(_Evolution):
 
     def probabilities(self, iterations: int) -> np.ndarray:
         return self.record(iterations)[0]
+
+
+@lru_cache(maxsize=8)
+def _operator_slot(key: tuple) -> list:
+    """A list, shared on purpose, for the Grover operator of one ``operator_key``; 8 kept."""
+    return []
 
 
 def _evolution(oracle: OracleCircuit, backend: str = "effective") -> _Evolution:

@@ -32,12 +32,12 @@ Each table is built by running the stage's own gates once through that
 reference kernel: on a batched identity for a block, and on an index ramp
 and a vector of ones for a monomial run. The fused result differs from the
 gate-by-gate loop only by the rounding of multiplying the gates' factors
-together first, about 1e-15 on the tested circuits. The last 64 distinct
-stages built are kept and shared by every circuit with an equal run.
+together first, about 1e-15 on the tested circuits. The last 64 distinct stages
+built, like the last 64 inverse QFTs by register, are kept and shared.
 
 A ``Sector`` restricts a compiled circuit to the basis states in which the
-qubits that a given state holds at one value, and that no stage moves, keep
-that value; ``apply`` runs it on the sector's amplitudes alone.
+held qubits (read off a state, or given as bit masks) that no stage moves
+keep their values; ``apply`` runs it on the sector's amplitudes alone.
 """
 
 from __future__ import annotations
@@ -279,14 +279,17 @@ class StateVector:
         return np.abs(self.amplitudes) ** 2
 
 
+def check_capacity(num_qubits: int) -> None:
+    """Refuse a dense workspace of more than ``DENSE_QUBIT_CAP`` qubits."""
+    if num_qubits > DENSE_QUBIT_CAP:
+        raise CapacityError(f"{num_qubits} qubits exceeds the dense cap of {DENSE_QUBIT_CAP}")
+
+
 def new_basis_state(num_qubits: int, basis_index: int) -> StateVector:
     """Computational basis state |basis_index> on ``num_qubits`` qubits."""
     if num_qubits < 1:
         raise ValueError("num_qubits must be >= 1")
-    if num_qubits > DENSE_QUBIT_CAP:
-        raise CapacityError(
-            f"{num_qubits} qubits exceeds the dense cap of {DENSE_QUBIT_CAP}"
-        )
+    check_capacity(num_qubits)
     dim = 1 << num_qubits
     if not 0 <= basis_index < dim:
         raise ValueError(f"basis_index {basis_index} out of range for {num_qubits} qubits")
@@ -612,31 +615,33 @@ class Sector:
 
     The sector is the set of basis states in which every qubit that the
     state holds at one basis value, and that no stage of the circuit moves,
-    keeps that value. A stage moves a qubit if it is a dense block spanning
-    it, a gate run alone touching it, or a monomial whose gather flips it;
-    a gather that flips a qubit and later restores it, as a comparator's X
-    chain does to its threshold register, moves nothing as a whole. Each
-    stage maps the sector to itself, so ``apply`` runs the restricted stages
-    on the sector's amplitudes alone (``restrict``), with the remaining
-    qubits renumbered in order: blocks and lone gates only change shape or
-    numbering, and monomials keep the sector's rows of their gather and
-    diagonal. Every gate of the circuit is still applied.
+    keeps that value; they are read off the support of ``state``, or given
+    as the bit masks ``held`` and ``values``. A stage moves a qubit if it is
+    a dense block spanning it, a gate run alone touching it, or a monomial
+    whose gather flips it; a gather that flips a qubit and later restores
+    it, as a comparator's X chain does to its threshold register, moves
+    nothing as a whole. Each stage maps the sector to itself, so ``apply``
+    runs the restricted stages on the sector's amplitudes alone
+    (``restrict``), with the remaining qubits renumbered in order: blocks
+    and lone gates only change shape or numbering, and monomials keep the
+    sector's rows of their gather and diagonal. Every gate is still applied.
     """
 
-    def __init__(self, circuit: Circuit, state: StateVector):
-        if circuit.num_qubits != state.num_qubits:
-            raise ValueError(
-                f"circuit has {circuit.num_qubits} qubits, state has {state.num_qubits}"
-            )
-        support = np.flatnonzero(state.amplitudes)
-        ones = int(np.bitwise_and.reduce(support))  # the bits every held basis state sets
-        held = ~(ones ^ int(np.bitwise_or.reduce(support)))
+    def __init__(self, circuit: Circuit, state: StateVector | None = None, held=0, values=0):
+        if state is not None:
+            if circuit.num_qubits != state.num_qubits:
+                raise ValueError(
+                    f"circuit has {circuit.num_qubits} qubits, state has {state.num_qubits}"
+                )
+            support = np.flatnonzero(state.amplitudes)
+            values = int(np.bitwise_and.reduce(support))  # the bits every basis state there sets
+            held = ~(values ^ int(np.bitwise_or.reduce(support)))
         moved = 0
         for stage in circuit.stages:
             moved |= stage.moves()
         #: Bit masks of the fixed qubits and of the values they keep.
         self.fixed = held & ~moved & ((1 << circuit.num_qubits) - 1)
-        self.values = ones & self.fixed
+        self.values = values & self.fixed
         #: The full circuit's qubits that remain, in order, and its gates.
         self.kept = tuple(q for q in range(circuit.num_qubits) if not self.fixed >> q & 1)
         self.num_qubits = len(self.kept)
@@ -750,7 +755,12 @@ def qft_circuit(register: Sequence[int], num_qubits: int | None = None) -> Circu
 
 
 def inverse_qft_circuit(register: Sequence[int], num_qubits: int | None = None) -> Circuit:
-    """Inverse QFT on the register; gate count is O(t**2)."""
+    """Inverse QFT on the register; gate count is O(t**2). The last 64 shapes are kept."""
+    return _inverse_qft(tuple(register), num_qubits)
+
+
+@functools.lru_cache(maxsize=64)
+def _inverse_qft(register: tuple[int, ...], num_qubits: int | None) -> Circuit:
     return qft_circuit(register, num_qubits).inverse()
 
 

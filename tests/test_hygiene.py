@@ -60,3 +60,44 @@ def test_the_package_imports_only_the_standard_library_and_numpy():
     }
     assert {name: roots for name, roots in foreign.items() if roots} == {}
     assert "numpy" in imported_roots((PACKAGE / "search.py").read_text())
+
+
+#: Memos keyed on a few small integers, which may grow without a bound.
+UNBOUNDED_MEMOS = {"cli._parser", "search._qes_ceilings", "search._qes_layout"}
+
+
+def unbounded_memos(source: str) -> set[str]:
+    """Functions memoised by ``functools.cache``, or by ``lru_cache`` without an integer maxsize."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        for decorator in node.decorator_list:
+            call = decorator if isinstance(decorator, ast.Call) else None
+            name = ast.unparse(call.func if call else decorator).rsplit(".", 1)[-1]
+            if call is not None:
+                sizes = [k.value for k in call.keywords if k.arg == "maxsize"] + call.args[:1]
+                bounded = any(isinstance(s, ast.Constant) and type(s.value) is int for s in sizes)
+            if name == "cache" or name == "lru_cache" and (call is None or not bounded):
+                found.add(node.name)
+    return found
+
+
+def test_the_memo_rule_finds_unbounded_caches():
+    source = (
+        "@functools.cache\ndef a(): pass\n@cache\ndef b(): pass\n"
+        "@lru_cache(maxsize=None)\ndef c(): pass\n@functools.lru_cache(None)\ndef d(): pass\n"
+        "@lru_cache\ndef e(): pass\n@lru_cache(maxsize=8)\ndef f(): pass\n"
+        "@functools.lru_cache(64)\ndef g(): pass\n@property\ndef h(): pass\n"
+    )
+    assert unbounded_memos(source) == {"a", "b", "c", "d", "e"}
+
+
+def test_every_memo_in_the_package_names_a_bound():
+    # a memo keyed on tables or circuits would otherwise hold every one a
+    # long-lived process ever built; a bare lru_cache counts as unbounded too,
+    # so that each memo states its own bound
+    found = {
+        f"{p.stem}.{name}" for p in PACKAGE.glob("*.py") for name in unbounded_memos(p.read_text())
+    }
+    assert found == UNBOUNDED_MEMOS

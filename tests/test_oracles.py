@@ -28,7 +28,7 @@ from qslice import (
     two_list_oracle,
 )
 from qslice.oracles import AllOf, AnyOf
-from qslice.sim import Circuit, h, phase_estimation_circuit
+from qslice.sim import Circuit, h, inverse_qft_circuit, phase_estimation_circuit, qft_circuit
 
 
 def prepared(oracle):
@@ -281,6 +281,13 @@ def test_diffusion_matrix_n2():
     cols = [apply(new_basis_state(2, k), diffusion_circuit(2)).amplitudes for k in range(4)]
     matrix = np.column_stack(cols)
     assert np.allclose(matrix, 2 / 4 * np.ones((4, 4)) - np.eye(4), atol=1e-9)
+
+
+def test_shape_memos_take_lists_and_return_what_tuples_give():
+    assert diffusion_circuit(3, [4, 5, 6], 8).gates == diffusion_circuit(3, (4, 5, 6), 8).gates
+    assert inverse_qft_circuit([2, 0, 1], 5).gates == inverse_qft_circuit((2, 0, 1), 5).gates
+    assert inverse_qft_circuit([2, 0, 1], 5).gates == qft_circuit([2, 0, 1], 5).inverse().gates
+
 
 
 def test_grover_no_marks_leaves_marginal():

@@ -35,7 +35,7 @@ from qslice import (
     t_for_resolution,
     two_list_oracle,
 )
-from qslice import search, sim
+from qslice import oracles, search, sim
 from qslice.search import (
     SearchDisagreement,
     closest_integer,
@@ -1238,6 +1238,81 @@ def test_oracles_differing_only_in_threshold_share_compiled_stages():
     assert all(a is b for a, b in shared)
     sectors = [search._evolution(o, "dense").operator for o in (low, high)]
     assert sectors[0].kept == sectors[1].kept and sectors[0].values != sectors[1].values
+
+
+def two_list_t3_oracle():
+    """The 21-qubit t = 3 two-list oracle, on tables of its own."""
+    gen = np.random.default_rng(84)
+    return two_list_oracle(
+        ValueTable(3, gen.integers(0, 8, 8)), ValueTable(3, gen.integers(0, 8, 8)), 3, 4
+    )
+
+
+@pytest.mark.parametrize("name", [*sector_oracles(), "two-list t=3"])
+def test_dense_psi_is_prepared_on_the_sector(name):
+    oracle = two_list_t3_oracle() if name == "two-list t=3" else sector_oracles()[name]
+    evolution = search._evolution(oracle, "dense")
+    sector = evolution.operator
+    # the full-width preparation, cut down to the sector
+    full = sim.apply(sim.new_basis_state(oracle.num_qubits, 0), oracle.prep_circuit)
+    want = sector.restrict(full).amplitudes
+    assert np.max(np.abs(evolution.state.amplitudes - want)) <= 1e-15
+    # the sector read off the layout is the one read off that state
+    by_state = sim.Sector(grover_operator(oracle), full)
+    assert (sector.kept, sector.fixed, sector.values) == (
+        by_state.kept, by_state.fixed, by_state.values
+    )
+
+
+def test_dense_evolution_of_the_21_qubit_oracle_never_holds_the_workspace():
+    oracle = two_list_t3_oracle()  # fresh tables: its operator is built in the window
+    tracemalloc.start()
+    try:
+        search._evolution(oracle, "dense")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 2^21 amplitudes would take 32 MiB; the 14-qubit sector takes 256 KiB
+    assert oracle.num_qubits == 21 and peak < 4 << 20
+
+
+def counted_operator_builds(monkeypatch) -> list:
+    builds, build = [], search.grover_operator
+    monkeypatch.setattr(search, "grover_operator", lambda o: builds.append(1) or build(o))
+    return builds
+
+
+def test_dense_gas_builds_one_operator_per_table_and_comparison(monkeypatch):
+    builds = counted_operator_builds(monkeypatch)
+    thresholds, make = [], search.single_list_oracle
+    monkeypatch.setattr(
+        search, "single_list_oracle", lambda *a: thresholds.append(a[1]) or make(*a)
+    )
+    gen = np.random.default_rng(85)
+    tables = [ValueTable(4, gen.permutation(16)) for _ in range(2)]
+    gas(tables[0], "max", np.random.default_rng(5), 3, "dense")
+    assert len(set(thresholds)) >= 3 and len(builds) == 1
+    gas(tables[0], "min", np.random.default_rng(5), 3, "dense")
+    assert len(builds) == 2  # a new comparison
+    gas(tables[1], "max", np.random.default_rng(5), 3, "dense")
+    assert len(builds) == 3  # a new table
+
+
+def test_two_list_oracles_differing_only_in_thresholds_share_one_operator(monkeypatch):
+    builds = counted_operator_builds(monkeypatch)
+    returns, sigmas = ValueTable(2, (1, 3, 0, 2)), ValueTable(2, (2, 0, 3, 1))
+    a, b = two_list_oracle(returns, sigmas, 1, 2), two_list_oracle(returns, sigmas, 3, 0)
+    sectors = [search._evolution(o, "dense").operator for o in (a, b)]
+    assert len(builds) == 1 and sectors[0].gates is sectors[1].gates
+    # a table with equal values is another table: the memo never reads values
+    search._evolution(two_list_oracle(ValueTable(2, returns.values), sigmas, 1, 2), "dense")
+    assert len(builds) == 2
+
+
+def test_every_build_memo_is_bounded():
+    memos = (sim._fuse, sim._inverse_qft, oracles._comparator, oracles._diffusion,
+             search._operator_slot)
+    assert all(memo.cache_info().maxsize for memo in memos)
 
 
 def lifted_counting_distribution(oracle, m):
