@@ -17,9 +17,10 @@ probabilities bit for bit, so a search draws exactly what simulating from
 |psi> would. The effective backend finds that index as floor(v N) while the
 state is uniform, which takes no step; every other draw, and every uniform
 one near a boundary, is located in the measurement CDF, kept for the last j.
-Enumeration's fixed-j runs are drawn as blocks located in that CDF at once,
-and exponential search on an oracle with no marked index cuts all its rounds
-from one block of generator words, locating them only if its log is read.
+Enumeration's fixed-j runs are drawn as blocks located in that CDF at once.
+Exponential search draws its rounds in blocks too, cut at its budget, and
+locates them one by one until one succeeds; on an oracle with no marked
+index it locates none unless its log is read.
 Dense counting reads the same memo: its register law depends only on the
 overlaps r(k) = <psi|G^k psi>, k < 2^m, recorded next to each marginal, and
 follows from them by one FFT, with no register qubit simulated. A count's
@@ -38,7 +39,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache, partial
-from itertools import repeat
 
 import numpy as np
 
@@ -371,12 +371,17 @@ def qes(
 
     Each round draws j uniformly from [0, m), applies j Grover iterations and
     measures; on failure the bound grows by the factor 8/7 up to sqrt(N).
-    Rounds start while the cumulative iteration count is within budget, so a
+    Rounds start while the calls spent before them are within budget, so a
     timeout reports at least the budget. Works without knowing the number of
-    solutions; expected cost is O(sqrt(N/M)) oracle calls. On the effective
-    backend with a PCG64 generator, an oracle with no marked index draws its
-    rounds as one block (``_qes_unmarked``), exactly as this loop would.
-    Either way the outcome builds its ``RoundLog`` list on first read.
+    solutions; expected cost is O(sqrt(N/M)) oracle calls.
+
+    Either backend draws the rounds in blocks, all their j by one
+    ``rng.integers`` and then their uniforms by one ``rng.random``. The first
+    block holds 16 more than twice the rounds the bound takes to grow, each
+    later one twice the one before. A ``cumsum`` cuts each block at the
+    budget, and its rounds are located in order until one measures a marked
+    index; an oracle with none locates none. The ``RoundLog`` list is built
+    on first read, locating every started round then.
     """
     _check_backend(backend)
     n_space = oracle.index_size
@@ -384,120 +389,47 @@ def qes(
         budget = default_qes_budget(n_space)
     if budget <= 0:
         raise ValueError("budget must be positive")
-    if backend == "effective" and type(rng.bit_generator) is np.random.PCG64:
-        evolution = _evolution(oracle)
-        if evolution.marked.size == 0:
-            outcome = _qes_unmarked(evolution, rng, budget)
-            if outcome is not None:
-                return outcome
-
-    ceilings = _qes_ceilings(n_space)
-    found, calls = None, 0
-    iterations, measured, accepted = [], [], []  # the log's columns
-    while calls <= budget:
-        j = int(rng.integers(0, ceilings[min(len(iterations), len(ceilings) - 1)]))
-        iterations.append(j)
-        measured.append(grover_search(oracle, j, rng, backend))
-        accepted.append(bool(oracle.predicate(measured[-1])))
-        calls += j
-        if accepted[-1]:
-            found = measured[-1]
-            break
-    return SearchOutcome(found, calls, partial(list, map(RoundLog, iterations, measured, accepted)))
+    evolution, mask, ceilings = _evolution(oracle, backend), oracle.mask, _qes_ceilings(n_space)
+    searching = mask.any()
+    found, calls, first, size = None, 0, 0, 2 * ceilings.size + 16
+    blocks = []  # the started rounds' j and v, per block
+    while found is None and calls <= budget:
+        j = rng.integers(0, ceilings.take(np.arange(first, first + size), mode="clip"))
+        v = rng.random(size)
+        spent = np.cumsum(j)  # the calls after each round of the block
+        # round r + 1 starts while the calls up to round r are within budget
+        started = min(size, 1 + int(spent.searchsorted(budget - calls, side="right")))
+        for r in range(started if searching else 0):
+            measured = evolution.locate(int(j[r]), float(v[r]))
+            if mask[measured]:
+                found, started = measured, r + 1
+                break
+        calls += int(spent[started - 1])
+        blocks.append((j[:started], v[:started]))
+        first, size = first + size, 2 * size
+    return SearchOutcome(found, calls, partial(_qes_log, evolution, blocks, found is not None))
 
 
 @cache
-def _qes_ceilings(n_space: int) -> tuple[int, ...]:
-    """``qes``'s ceil(bound) per round; every round past the last draws below it."""
+def _qes_ceilings(n_space: int) -> np.ndarray:
+    """``qes``'s ceil(bound) per round while the bound grows; every later
+    round draws below the last. Callers share the array, so it is read-only."""
     root = math.sqrt(n_space)
     bound, ceilings = 1.0, [1]
     while bound < root:
         bound = min(_QES_GROWTH * bound, root)
         ceilings.append(math.ceil(bound))
-    return tuple(ceilings)
+    ceilings = np.array(ceilings, dtype=np.int64)
+    ceilings.flags.writeable = False
+    return ceilings
 
 
-def _qes_unmarked(
-    evolution: _EffectiveEvolution, rng: np.random.Generator, budget: int
-) -> SearchOutcome | None:
-    """``qes`` on an oracle with no marked index, from one block of PCG64 words.
-
-    Every round fails, so the words each round takes are fixed in advance
-    (``_qes_layout``). The block doubles until a round in it would start over
-    budget, the rounds before that one are cut from it, and the generator is
-    stepped back to where the round loop leaves it. Each v is located only
-    when the log is read, as ``locate`` would have located it at once. A j
-    that numpy would draw again returns None, with the generator untouched.
-    """
-    bits = rng.bit_generator
-    saved = bits.state
-    n_space = evolution.mask.size
-    # buf[w] is word w of the layout
-    buf = np.array([saved["uinteger"] << 32], dtype=np.uint64)
-    rounds = 2 * len(_qes_ceilings(n_space)) + 16
-    while True:
-        ks, floors, x_at, taken, pending, loaded = _qes_layout(
-            n_space, saved["has_uint32"], rounds
-        )
-        buf = np.concatenate((buf, bits.random_raw(taken[-1] + 1 - buf.size)))
-        product = buf.astype("<u8", copy=False).view("<u4")[x_at] * ks  # low half first
-        j = product >> 32
-        calls = np.cumsum(j)
-        run = int(calls.searchsorted(budget, side="right")) + 1
-        if run <= rounds:  # round ``run`` would start over budget
-            break
-        rounds *= 2
-    if (product[:run] & 0xFFFFFFFF < floors[:run]).any():
-        bits.state = saved
-        return None
-    bits.advance(int(taken[run - 1]) + 1 - buf.size)  # back over the words no round took
-    state = bits.state
-    state["has_uint32"], state["uinteger"] = int(pending[run - 1]), int(buf[loaded[run - 1]] >> 32)
-    bits.state = state
-
-    def log() -> list[RoundLog]:  # records are a fixed function of j: read at any time
-        v, margin = (buf[taken[:run]] >> 11) * 2.0**-53, evolution._margin
-        measured = (v * n_space).astype(np.int64)
-        near = (v < measured / n_space + margin) | (v >= (measured + 1) / n_space - margin)
-        for r in np.flatnonzero(near):
-            measured[r] = evolution.locate(int(j[r]), float(v[r]))
-        return list(map(RoundLog, j[:run].tolist(), measured.tolist(), repeat(False)))
-
-    return SearchOutcome(None, int(calls[run - 1]), log)
-
-
-@cache
-def _qes_layout(n_space: int, has_uint32: int, rounds: int) -> np.ndarray:
-    """Where the first ``rounds`` rounds of ``qes`` take their PCG64 words.
-
-    ``rng.integers(0, k)`` takes nothing for k = 1; else the pending 32-bit
-    half or, with none pending, the low half x of a fresh word, leaving its
-    high half pending. j = x k >> 32, unless (x k) mod 2^32 < (2^32 - k) mod k
-    and numpy draws again. ``rng.random()`` takes a fresh word. Word w >= 1 is
-    the w-th drawn, word 0 holds the entry's pending half as its high half,
-    and half 2w or 2w + 1 is word w's low or high half. The rows give per
-    round: k; that floor; the half x is (0 for k = 1, where j = 0 whatever x);
-    the words taken, the last being the round's v; and after the round the
-    pending flag and the last word loaded, whose high half numpy keeps as
-    ``uinteger``. Callers share the array, so it is read-only.
-    """
-    ceilings = _qes_ceilings(n_space)
-    rows = []
-    taken = loaded = 0
-    for r in range(rounds):
-        k = ceilings[min(r, len(ceilings) - 1)]
-        if k == 1:
-            x_at = 0
-        elif has_uint32:
-            x_at, has_uint32 = 2 * loaded + 1, 0
-        else:
-            taken = loaded = taken + 1
-            x_at, has_uint32 = 2 * loaded, 1
-        taken += 1
-        rows.append((k, (2**32 - k) % k, x_at, taken, has_uint32, loaded))
-    layout = np.array(rows, dtype=np.int64).T.copy()
-    layout.flags.writeable = False
-    return layout
+def _qes_log(evolution: _Evolution, blocks: list, found: bool) -> list[RoundLog]:
+    """The started rounds of ``qes``, each located as it was, or would have been, when drawn."""
+    iterations, uniforms = (np.concatenate(column).tolist() for column in zip(*blocks))
+    measured = list(map(evolution.locate, iterations, uniforms))
+    accepted = [False] * (len(measured) - 1) + [found]  # only the last round may succeed
+    return list(map(RoundLog, iterations, measured, accepted))
 
 
 # ---------------------------------------------------------------------------

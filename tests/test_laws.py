@@ -99,10 +99,11 @@ def test_qes_law_equals_enumeration(n_space, marked, budget):
     np.testing.assert_allclose(qes_law(n_space, marked, budget), want, rtol=0, atol=cut + 1e-12)
 
 
-# Fixed before the first run: N, the number of runs, the seed of each M, and
-# the binning (every (found, calls) cell expecting at least 5 runs is a bin,
-# the other cells pool into one, which joins the smallest bin if it expects
-# fewer than 5). A failing seed is a finding to report, not one to replace.
+# Fixed before the first run: N, the number of runs, the seed of each M (the
+# same for every bit generator), and the binning (every (found, calls) cell
+# expecting at least 5 runs is a bin, the other cells pool into one, which
+# joins the smallest bin if it expects fewer than 5). A failing seed is a
+# finding to report, not one to replace.
 CHI_N = 256
 CHI_RUNS = 500
 
@@ -121,11 +122,18 @@ def binned(expected, observed):
     return np.array(exp), np.array(obs)
 
 
-@pytest.mark.parametrize("marked", [0, 1, CHI_N // 4, 160])
-def test_seeded_qes_follows_its_law(marked):
+@pytest.mark.parametrize(
+    "bit_generator, marked",
+    [  # PCG64, numpy's default, keeps the bare ids of M
+        pytest.param(bits, marked, id=str(marked) if bits is np.random.PCG64 else f"{bits.__name__}-{marked}")
+        for bits in (np.random.PCG64, np.random.MT19937, np.random.Philox)
+        for marked in (0, 1, CHI_N // 4, 160)
+    ],
+)
+def test_seeded_qes_follows_its_law(bit_generator, marked):
     table = ValueTable(1, [1] * marked + [0] * (CHI_N - marked))
     oracle = single_list_oracle(table, 0)
-    rng = np.random.default_rng([1998, marked])
+    rng = np.random.Generator(bit_generator([1998, marked]))
     law = qes_law(CHI_N, marked, default_qes_budget(CHI_N))
     observed = np.zeros_like(law)
     for _ in range(CHI_RUNS):

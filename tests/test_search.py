@@ -139,7 +139,8 @@ def test_qes_regression_fixture():
     oracle = direct_marking_oracle(6, {17})
     out = qes(oracle, np.random.default_rng(11))
     assert out.found_index == 17
-    assert out.oracle_calls == 4
+    assert out.oracle_calls == 3
+    assert [r.iterations for r in out.rounds] == [0, 0, 0, 1, 0, 1, 1]
     assert out.oracle_calls <= default_qes_budget(64) == 40
 
 
@@ -987,11 +988,19 @@ def choice_cdf(probs):
 
 def reference_gas(table, direction, master, repetitions):
     """``gas`` on the effective backend, each round drawn by ``searchsorted``
-    in the CDF of probabilities stepped from |psi>, as ``rng.choice`` draws."""
+    in the CDF of probabilities stepped from |psi>, as ``rng.choice`` draws.
+
+    Exponential search draws its rounds in blocks: the j of a block's rounds
+    first, then their uniforms. The first block holds twice the rounds of the
+    bound's growth plus 16, and each later block twice the one before."""
     values = np.asarray(table.values)
     n_space = values.size
     budget, per_qes = gas_budget(n_space), default_qes_budget(n_space)
     better = np.greater if direction == "max" else np.less
+    bound, ceilings = 1.0, [1]  # ceil(bound) per round while the bound grows
+    while bound < math.sqrt(n_space):
+        bound = min(8.0 / 7.0 * bound, math.sqrt(n_space))
+        ceilings.append(math.ceil(bound))
     best, total, logs = None, 0, []
     for child in master.spawn(repetitions):
         j = start = int(child.integers(0, n_space))
@@ -1003,15 +1012,19 @@ def reference_gas(table, direction, master, repetitions):
                 probs = stepped_probabilities(oracle, [math.ceil(math.sqrt(n_space))])
                 cdfs = {k: choice_cdf(p) for k, p in probs.items()}
             sub_budget = max(1, min(per_qes, math.ceil(budget - calls)))
-            bound, used, found = 1.0, 0, None
-            while used <= sub_budget:
-                k = int(child.integers(0, math.ceil(bound)))
-                measured = int(cdfs[k].searchsorted(child.random(), side="right"))
-                used += k
-                if better(values[measured], values[j]):
-                    found = measured
-                    break
-                bound = min(8.0 / 7.0 * bound, math.sqrt(n_space))
+            used, found, first, size = 0, None, 0, 2 * len(ceilings) + 16
+            while found is None and used <= sub_budget:
+                rounds = range(first, first + size)
+                ks = child.integers(0, [ceilings[min(r, len(ceilings) - 1)] for r in rounds])
+                for k, v in zip(ks.tolist(), child.random(size).tolist()):
+                    if used > sub_budget:  # this round would start over budget
+                        break
+                    measured = int(cdfs[k].searchsorted(v, side="right"))
+                    used += k
+                    if better(values[measured], values[j]):
+                        found = measured
+                        break
+                first, size = first + size, 2 * size
             calls += used
             if found is not None:
                 j, improvements, cdfs = found, improvements + 1, None
@@ -1050,8 +1063,8 @@ def test_gas_spawns_each_child_as_its_repetition_starts():
     table = ValueTable(6, gen.integers(0, 64, 1 << 9).tolist())
     # results of ``rng.spawn(4)`` up front, with ``default_rng(seed)``
     want = {
-        0: (154, 63, 2504, [(410, 154, 625, 2), (338, 421, 624, 1), (336, 154, 626, 5), (456, 395, 629, 4)]),
-        5: (421, 63, 2510, [(112, 421, 627, 5), (275, 152, 633, 4), (411, 395, 624, 6), (113, 359, 626, 1)]),
+        0: (421, 63, 2520, [(410, 421, 628, 6), (338, 291, 626, 1), (336, 291, 627, 4), (456, 359, 639, 1)]),
+        5: (395, 63, 2507, [(112, 395, 633, 4), (275, 154, 625, 2), (411, 395, 625, 6), (113, 359, 624, 4)]),
     }
     for seed, (index, value, calls, logs) in want.items():
         rng = SpawnOne(np.random.PCG64(seed))
