@@ -12,15 +12,14 @@ The searches run on either backend:
 
 Each oracle memoises its Grover evolution on either backend (``_Evolution``):
 the furthest state G^j|psi> is stepped only when a larger j is asked for,
-and each j reached keeps a record that rebuilds its index-register
-probabilities bit for bit, so a search draws exactly what simulating from
-|psi> would. The effective backend finds that index as floor(v N) while the
-state is uniform, which takes no step; every other draw, and every uniform
-one near a boundary, is located in the measurement CDF, kept for the last j.
-Enumeration's fixed-j runs are drawn as blocks located in that CDF at once.
-Exponential search draws its rounds in blocks too, cut at its budget, and
-locates them one by one until one succeeds; on an oracle with no marked
-index it locates none unless its log is read.
+and each j reached keeps a record. A measurement locates a uniform v in the
+class-ordered CDF, marked indices ascending and then unmarked ones: the
+effective backend from the marked and unmarked amplitudes alone, with no
+CDF, and with no step while the state is uniform; the dense backend in the
+CDF of its simulated index marginal. Enumeration's fixed-j runs are drawn as
+blocks located at once. Exponential search draws its rounds in blocks too,
+cut at its budget, and locates them one by one until one succeeds; on an
+oracle with no marked index it locates none unless its log is read.
 Dense counting reads the same memo: its register law depends only on the
 overlaps r(k) = <psi|G^k psi>, k < 2^m, recorded next to each marginal, and
 follows from them by one FFT, with no register qubit simulated. A count's
@@ -117,30 +116,17 @@ class _Evolution:
     """One oracle's Grover evolution from |psi>, stepped once, sampled often.
 
     The furthest state reached is stepped only when a later j is asked for,
-    and each j reached keeps a record from which its index-register
-    probabilities are rebuilt bit for bit, so an oracle takes at most max-j
-    steps in all. A measurement locates one uniform ``v`` in the CDF, kept
-    for the last j, and a block of runs at one j locates its uniforms there
-    with one ``searchsorted``. Subclasses give the state, the step and the
-    record, and may locate a single ``v`` without the CDF; nothing held
-    refers back to the oracle.
+    and each j reached keeps a record, so an oracle takes at most max-j steps
+    in all. Subclasses give the state, ``step(state)``, one Grover iteration,
+    ``_record(state)``, and ``locate(j, v)``: the index whose interval of the
+    class-ordered CDF after j iterations (the marked indices ascending, then
+    the unmarked ones ascending) holds the uniform ``v``, or an array of
+    them for an array of uniforms. Nothing held refers back to the oracle.
     """
 
     def __init__(self, state):
         self.state = state
         self.records = [self._record(state)]
-        self._cdf_iterations = -1
-
-    def step(self, state):
-        """One Grover iteration."""
-        raise NotImplementedError
-
-    def _record(self, state):
-        raise NotImplementedError
-
-    def probabilities(self, iterations: int) -> np.ndarray:
-        """Index-register probabilities after ``iterations`` Grover iterations."""
-        raise NotImplementedError
 
     def record(self, iterations: int):
         """The record of the state after ``iterations`` Grover iterations."""
@@ -148,17 +134,6 @@ class _Evolution:
             self.state = self.step(self.state)
             self.records.append(self._record(self.state))
         return self.records[iterations]
-
-    def locate(self, iterations: int, v: float) -> int:
-        """The index whose interval of the measurement CDF holds the uniform ``v``."""
-        return int(self.cdf(iterations).searchsorted(v, side="right"))
-
-    def cdf(self, iterations: int) -> np.ndarray:
-        """The measurement CDF after ``iterations`` Grover iterations, kept for the last j."""
-        if iterations != self._cdf_iterations:
-            self._cdf_iterations = iterations
-            self._cdf = _measurement_cdf(self.probabilities(iterations))
-        return self._cdf
 
 
 def _measurement_cdf(probs: np.ndarray) -> np.ndarray:
@@ -176,12 +151,12 @@ class _EffectiveEvolution(_Evolution):
     """The index amplitudes alone, recorded as one (marked, unmarked) pair per j.
 
     After j iterations every marked amplitude is the same number, and so is
-    every unmarked one (Boyer, Brassard, Hoyer & Tapp 1998), so the pair
-    rebuilds the whole vector. At j = 0, or with one class empty, the state
-    is uniform and its CDF is F(i) = (i + 1) / N, so ``v`` is located as
-    floor(v N) with no record and no step; every other ``v`` goes to the
-    measurement CDF. Everything held is O(N); the 2^n amplitudes are built
-    on the first step, so an oracle searched only while uniform holds none.
+    every unmarked one (Boyer, Brassard, Hoyer & Tapp 1998), so a draw needs
+    only the pair: a uniform picks a class by its mass, then an index of that
+    class by its rank, with no CDF. The state is uniform at j = 0, and at
+    every j with one class empty, so those draws take no step. The 2^n
+    amplitudes are built on the first step, so an oracle searched only while
+    uniform holds none.
     """
 
     def __init__(self, mask: np.ndarray, index_bits: int):
@@ -189,20 +164,15 @@ class _EffectiveEvolution(_Evolution):
         self._uniform = 1.0 / math.sqrt(effective_index_size(index_bits))
         self.mask = mask
         self.marked = np.flatnonzero(mask)
+        # the unmarked indices below each marked one: the k-th unmarked index
+        # is k plus the marked indices at which this is at most k
+        self._below = self.marked - np.arange(self.marked.size)
         first_unmarked = int(np.argmin(mask))
         # one index of each class, None where the class is empty
         self._probes = (
             int(self.marked[0]) if self.marked.size else None,
             None if mask[first_unmarked] else first_unmarked,
         )
-        # The float CDF of ``_Evolution.locate`` sums nonnegative terms and its
-        # division by cdf[-1] cancels the total's error, so on a uniform state
-        # it is monotone and within (2N + 2) 2^-53 of (i + 1) / N in any
-        # summation order. floor(v N) is the index searchsorted finds when v
-        # clears this margin (4x that) on both sides; v within it of one of the
-        # N boundaries, a share of at most 2 N margin (1.2e-7 at N = 8192) of
-        # draws, take the CDF path.
-        self._margin = (mask.size + 8) * 2.0**-50
         super().__init__(None)  # |psi>, built by the first step
 
     def step(self, state):
@@ -215,19 +185,35 @@ class _EffectiveEvolution(_Evolution):
         if state is None:  # |psi>: the amplitude effective_state_new gives every index
             return tuple(0.0 if k is None else self._uniform for k in self._probes)
         amps = state.amplitudes
-        return tuple(0.0 if k is None else amps[k] for k in self._probes)
+        return tuple(0.0 if k is None else float(amps[k]) for k in self._probes)
 
-    def probabilities(self, iterations: int) -> np.ndarray:
-        a_marked, a_unmarked = self.record(iterations)
-        return np.where(self.mask, a_marked, a_unmarked) ** 2
-
-    def locate(self, iterations: int, v: float) -> int:
-        if iterations == 0 or None in self._probes:  # uniform: F(i) = (i + 1) / N
-            size, margin = self.mask.size, self._margin
-            i = int(v * size)  # exact, as are i / N and (i + 1) / N: N is a power of two
-            if i / size + margin <= v < (i + 1) / size - margin:
-                return i
-        return super().locate(iterations, v)
+    def locate(self, iterations: int, v):
+        """``v`` scaled by the total mass, x, falls in the marked class below its
+        mass M w_in, at rank floor(x / w_in), and otherwise in the unmarked
+        class, at rank floor((x - M w_in) / w_out); a class with no mass takes
+        no draw, and a rank rounded past its class takes the class's last."""
+        marked, below = self.marked, self._below
+        n_in, n_out = marked.size, self.mask.size - marked.size
+        if iterations == 0 or None in self._probes:  # uniform: no step
+            w_in = w_out = 1.0
+        else:
+            a_in, a_out = self.record(iterations)
+            w_in, w_out = a_in * a_in, a_out * a_out
+        mass_in, mass_out = n_in * w_in, n_out * w_out
+        x = v * (mass_in + mass_out)
+        if isinstance(x, float):  # one draw, in Python scalars; np.ndim costs as much as the draw
+            if x < mass_in or not mass_out:
+                return int(marked[min(int(x // w_in), n_in - 1)])
+            k = min(int((x - mass_in) // w_out), n_out - 1)
+            return k + int(below.searchsorted(k, side="right"))
+        into = (x < mass_in) | (not mass_out)
+        drawn = np.empty(x.shape, dtype=np.intp)
+        # a class's rank is computed only for the draws it takes, so a class
+        # of zero weight divides no array by it
+        drawn[into] = marked[np.minimum(x[into] // w_in, n_in - 1).astype(np.intp)]
+        k = np.minimum((x[~into] - mass_in) // w_out, n_out - 1).astype(np.intp)
+        drawn[~into] = k + below.searchsorted(k, side="right")
+        return drawn
 
 
 class _DenseEvolution(_Evolution):
@@ -244,6 +230,9 @@ class _DenseEvolution(_Evolution):
     the sector by the prep circuit's gates on the kept qubits, and every
     gate is still applied. Each overlap is an ``einsum`` over the nonzero
     entries of the sector's |psi>, which unlike ``np.vdot`` calls no BLAS.
+    A draw inverts the float CDF of the simulated marginal in class order,
+    kept for the last j, so it draws what the effective backend draws but
+    for a uniform within float rounding of an interval's edge.
     """
 
     def __init__(self, oracle: OracleCircuit):
@@ -261,6 +250,8 @@ class _DenseEvolution(_Evolution):
         self.index = tuple(map(sector.position, oracle.layout.index))
         self._support = np.flatnonzero(psi.amplitudes)
         self._bra = psi.amplitudes[self._support].conj()
+        self._order = np.argsort(~oracle.mask, kind="stable")  # marked, then unmarked
+        self._cdf_iterations = -1
         super().__init__(psi)
 
     def step(self, state: sim.StateVector) -> sim.StateVector:
@@ -270,8 +261,12 @@ class _DenseEvolution(_Evolution):
         overlap = np.einsum("i,i", self._bra, state.amplitudes[self._support])
         return sim.subregister_distribution(state, self.index), complex(overlap)
 
-    def probabilities(self, iterations: int) -> np.ndarray:
-        return self.record(iterations)[0]
+    def locate(self, iterations: int, v):
+        if iterations != self._cdf_iterations:
+            self._cdf_iterations = iterations
+            self._cdf = _measurement_cdf(self.record(iterations)[0][self._order])
+        drawn = self._order[self._cdf.searchsorted(v, side="right")]
+        return int(drawn) if isinstance(v, float) else drawn
 
 
 @lru_cache(maxsize=8)
@@ -306,19 +301,20 @@ def grover_search(
 ) -> int | np.ndarray:
     """Apply the Grover operator ``iterations`` times to |psi> and measure.
 
-    With ``shots`` it returns an int array of the indices that many successive
-    calls would return, drawn from one block of uniforms and located in the
-    measurement CDF at once; the generator ends where those calls leave it.
+    Each measurement draws one uniform and locates it in the class-ordered
+    CDF (``_Evolution.locate``). With ``shots`` it returns an int array of the
+    indices that many successive calls would return, from one block of
+    uniforms located at once; the generator ends where those calls leave it.
     """
     _check_backend(backend)
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     evolution = _evolution(oracle, backend)
-    if shots is None:  # the draw ``rng.choice(N, p=probs)`` makes
+    if shots is None:
         return evolution.locate(iterations, rng.random())
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    return evolution.cdf(iterations).searchsorted(rng.random(shots), side="right")
+    return evolution.locate(iterations, rng.random(shots))
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +684,7 @@ class _PeakWindows(_CountingLaw):
         # The float CDF lies within about 2^(m+1) 2^-53 of the exact F of its
         # terms, the edges within 2^(m-1) 2^-53 of it and the tail within
         # 3.4e-3 / W^5 < 1e-13: v is placed when it clears both edges of its
-        # outcome by this margin, 8 (2^m + 8) 2^-53 >= 9e-13 (the uniform rule's).
+        # outcome by this margin, 8 (2^m + 8) 2^-53 >= 9e-13.
         self._margin = (size + 8) * 2.0**-50
         phi = grover_angle(n_space, n_marked) / (2.0 * math.pi) if n_marked else 0.0
         x = phi * size

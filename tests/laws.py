@@ -38,6 +38,20 @@ def success_probabilities(n_space: int, marked: int, runs: int) -> np.ndarray:
     return np.sin((2 * np.arange(runs) + 1) * theta / 2) ** 2
 
 
+def grover_index_law(mask: np.ndarray, iterations: int) -> np.ndarray:
+    """P(measure each index) after ``iterations`` Grover iterations.
+
+    The marked class holds sin^2((2j+1) theta/2) and the unmarked class the
+    rest, each spread evenly over its indices. With no marked index, or no
+    unmarked one, the state stays uniform.
+    """
+    n_space, marked = mask.size, int(mask.sum())
+    if marked in (0, n_space):
+        return np.full(n_space, 1.0 / n_space)
+    success = success_probabilities(n_space, marked, iterations + 1)[-1]
+    return np.where(mask, success / marked, (1.0 - success) / (n_space - marked))
+
+
 def qes_law(n_space: int, marked: int, budget: int) -> np.ndarray:
     """The joint law of (found, oracle calls) of ``qes`` with this budget.
 

@@ -1,5 +1,5 @@
-"""Exponential search and counting's median on the effective backend against
-their exact laws (``laws.py``)."""
+"""Grover draws, exponential search and counting's median on the effective
+backend against their exact laws (``laws.py``)."""
 
 import itertools
 import math
@@ -15,11 +15,20 @@ from laws import (
     chi_square_sf,
     counting_law,
     default_qes_budget,
+    grover_index_law,
     median_count_law,
     qes_law,
     success_probabilities,
 )
-from qslice import ValueTable, direct_marking_oracle, m_exact, qes, search, single_list_oracle
+from qslice import (
+    ValueTable,
+    direct_marking_oracle,
+    grover_search,
+    m_exact,
+    qes,
+    search,
+    single_list_oracle,
+)
 
 
 def test_restated_constants_are_qslices():
@@ -141,6 +150,47 @@ def test_seeded_qes_follows_its_law(bit_generator, marked):
         observed[int(not outcome.timed_out), outcome.oracle_calls] += 1
     assert not observed[law == 0.0].any()
     expected, counts = binned(CHI_RUNS * law.ravel(), observed.ravel())
+    statistic = float(((counts - expected) ** 2 / expected).sum())
+    assert chi_square_sf(statistic, expected.size - 1) >= 0.01, (marked, statistic, expected.size)
+
+
+@pytest.mark.parametrize("marked", [0, 1, 64, 160, 256])
+def test_grover_index_law_sums_to_one(marked):
+    mask = np.zeros(CHI_N, dtype=bool)
+    mask[:marked] = True
+    for j in range(20):
+        law = grover_index_law(mask, j)
+        assert (law >= 0.0).all() and abs(law.sum() - 1.0) < 1e-12, (marked, j)
+
+
+# Fixed before the first run: N = CHI_N; the marked sets, scattered by a
+# seed of their own; the iteration counts, which include j = 1 at M = N/4,
+# where the unmarked class holds no mass; GROVER_DRAWS draws per count, one
+# ``shots`` block each; the seed of each M (the same for every bit
+# generator); and the binning of ``binned`` over the (j, index) cells.
+GROVER_ITERATIONS = (0, 1, 2, 5, 12)
+GROVER_DRAWS = 2000
+
+
+@pytest.mark.parametrize(
+    "bit_generator, marked",
+    [  # PCG64, numpy's default, keeps the bare ids of M
+        pytest.param(bits, marked, id=str(marked) if bits is np.random.PCG64 else f"{bits.__name__}-{marked}")
+        for bits in (np.random.PCG64, np.random.MT19937, np.random.Philox)
+        for marked in (0, 1, CHI_N // 4, 160)
+    ],
+)
+def test_seeded_grover_draws_follow_their_law(bit_generator, marked):
+    indices = np.random.default_rng([1996, marked]).choice(CHI_N, size=marked, replace=False)
+    oracle = direct_marking_oracle(CHI_N.bit_length() - 1, indices.tolist())
+    rng = np.random.Generator(bit_generator([1996, marked]))
+    law = np.concatenate([grover_index_law(oracle.mask, j) for j in GROVER_ITERATIONS])
+    observed = np.concatenate([
+        np.bincount(grover_search(oracle, j, rng, shots=GROVER_DRAWS), minlength=CHI_N)
+        for j in GROVER_ITERATIONS
+    ])
+    assert not observed[law == 0.0].any()
+    expected, counts = binned(GROVER_DRAWS * law, observed)
     statistic = float(((counts - expected) ** 2 / expected).sum())
     assert chi_square_sf(statistic, expected.size - 1) >= 0.01, (marked, statistic, expected.size)
 

@@ -108,13 +108,16 @@ def test_block_qes_log_unread_takes_no_step_and_read_late_is_the_loops(monkeypat
     # may be after another search has moved its evolution: the log read late
     # equals one read at once
     located = []
-    reference_locate = search._Evolution.locate
 
-    def counted(self, iterations, v):
-        located.append(v)
-        return reference_locate(self, iterations, v)
+    def counting(locate):
+        def counted(self, iterations, v):
+            located.append(v)
+            return locate(self, iterations, v)
 
-    monkeypatch.setattr(search._Evolution, "locate", counted)
+        return counted
+
+    for kind in (search._EffectiveEvolution, search._DenseEvolution):
+        monkeypatch.setattr(kind, "locate", counting(kind.locate))
     for backend, n in (("effective", 4), ("effective", 9), ("effective", 13), ("dense", 3), ("dense", 5)):
         n_space = 1 << n
         budget = 6 * math.ceil(math.sqrt(n_space))
@@ -122,20 +125,19 @@ def test_block_qes_log_unread_takes_no_step_and_read_late_is_the_loops(monkeypat
             ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
             late, eager = direct_marking_oracle(n, ()), direct_marking_oracle(n, ())
             evolution = search._evolution(late, backend)
-            if backend == "effective":  # every v within the margin takes the CDF path
-                for each in (evolution, search._evolution(eager)):
-                    monkeypatch.setattr(each, "_margin", 0.5 / n_space)
             located.clear()
             got = qes(late, ours, budget, backend)
             assert not located and len(evolution.records) == 1  # no locate, no step
             want = qes(eager, theirs, budget, backend)
             want = search.SearchOutcome(want.found_index, want.oracle_calls, list(want.rounds))
             assert ours.bit_generator.state == theirs.bit_generator.state
-            # another search steps the evolution past every round's j and
-            # leaves its CDF at that j
+            # another search leaves a dense CDF at a j past every round's, and
+            # the evolution is stepped there (a uniform effective draw steps nothing)
             beyond = int(search._qes_ceilings(n_space)[-1]) + 2
             search.grover_search(late, beyond, np.random.default_rng(99), backend)
-            assert len(evolution.records) == beyond + 1 and evolution._cdf_iterations == beyond
+            evolution.record(beyond)
+            assert len(evolution.records) == beyond + 1
+            assert backend == "effective" or evolution._cdf_iterations == beyond
             located.clear()
             state = ours.bit_generator.state
             assert outcome_fields(got) == outcome_fields(want), (backend, n, seed)

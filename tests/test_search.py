@@ -1,6 +1,7 @@
 import gc
 import math
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -135,12 +136,13 @@ def test_qes_all_marked_returns_immediately():
 
 
 def test_qes_regression_fixture():
-    # frozen seeded run: N=64, marked {17}
+    # frozen seeded run: N=64, marked {17}, drawn in class order (17 first)
     oracle = direct_marking_oracle(6, {17})
     out = qes(oracle, np.random.default_rng(11))
     assert out.found_index == 17
-    assert out.oracle_calls == 3
-    assert [r.iterations for r in out.rounds] == [0, 0, 0, 1, 0, 1, 1]
+    assert out.oracle_calls == 5
+    assert [r.iterations for r in out.rounds] == [0, 0, 0, 1, 0, 1, 1, 2]
+    assert [r.measured for r in out.rounds] == [37, 14, 51, 54, 7, 25, 10, 17]
     assert out.oracle_calls <= default_qes_budget(64) == 40
 
 
@@ -772,16 +774,34 @@ def stream_oracles():
     }
 
 
+def class_order(oracle):
+    """The indices in the order a draw lays them out: marked ascending, then unmarked ascending."""
+    return np.argsort(~oracle.mask, kind="stable")
+
+
+def choice_in_class_order(rng, probs, order):
+    """The index ``rng.choice`` draws from ``probs`` laid out in ``order``."""
+    laid_out = probs[order]
+    return int(order[rng.choice(laid_out.size, p=laid_out / laid_out.sum())])
+
+
+def record_probabilities(evolution, iterations):
+    """Index probabilities rebuilt from the effective record's amplitude pair."""
+    a_marked, a_unmarked = evolution.record(iterations)
+    return np.where(evolution.mask, a_marked, a_unmarked) ** 2
+
+
 @pytest.mark.parametrize("name", list(stream_oracles()))
 def test_grover_search_draws_what_choice_draws_on_the_reference(name):
     oracle = stream_oracles()[name]()
+    order = class_order(oracle)
     ours, theirs = np.random.default_rng(77), np.random.default_rng(77)
     for _ in range(3):  # rising, repeated and falling counts, several passes
         for j in STREAM_ITERATIONS:
             probs = reference_probabilities(oracle, j)
-            want = int(theirs.choice(probs.size, p=probs / probs.sum()))
+            want = choice_in_class_order(theirs, probs, order)
             assert grover_search(oracle, j, ours) == want, (name, j)
-            assert np.array_equal(oracle.evolution.probabilities(j), probs)  # bit for bit
+            assert np.array_equal(record_probabilities(oracle.evolution, j), probs)  # bit for bit
             assert ours.bit_generator.state == theirs.bit_generator.state
             p_marked = float(sum(probs[k] for k in oracle.marked_set))
             assert abs(marked_probability_after(oracle, j) - p_marked) < 1e-12
@@ -818,7 +838,7 @@ def test_evolution_cache_holds_no_reference_to_its_oracle(backend):
 
 
 # ---------------------------------------------------------------------------
-# The effective backend's draws against rng.choice on the stepped state
+# The effective backend's draws against the class-ordered CDF of the stepped state
 # ---------------------------------------------------------------------------
 
 
@@ -846,17 +866,40 @@ def random_masks(draw):
     return n, marked.tolist(), iterations
 
 
+#: Distance from an interval's edge within which float rounding may move a
+#: draw to the neighbouring index: the class-ordered CDF is a float sum of up
+#: to 2^12 terms, the effective draw a product and a quotient.
+EDGE = 1e-12
+
+
+def class_ordered_cdf(probs, order):
+    """The float CDF of ``probs`` laid out in ``order``, normalised to end at 1."""
+    cdf = np.cumsum(probs[order])
+    return cdf / cdf[-1]
+
+
+def near(cdf, order, v):
+    """The indices whose intervals of ``cdf`` come within ``EDGE`` of ``v``:
+    the one whose interval holds ``v``, and its neighbour for a ``v`` near an edge."""
+    low, high = cdf.searchsorted([v - EDGE, v + EDGE], side="right")
+    return set(order[low : high + 1].tolist())
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=random_masks(), seed=st.integers(0, 2**32 - 1))
 def test_effective_draw_is_choice_on_random_masks(case, seed):
+    # the draw rng.choice makes on the class-ordered probabilities, unless
+    # the uniform is within EDGE of an edge of its interval
     n, marked, iterations = case
     oracle = direct_marking_oracle(n, marked)
+    order = class_order(oracle)
     probs = stepped_probabilities(oracle, iterations)
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
     for j in iterations:
+        cdf = class_ordered_cdf(probs[j], order)
         for _ in range(25):
-            want = int(theirs.choice(probs[j].size, p=probs[j] / probs[j].sum()))
-            assert grover_search(oracle, j, ours) == want, (j, len(marked))
+            want = near(cdf, order, theirs.random())
+            assert grover_search(oracle, j, ours) in want, (j, len(marked))
             assert ours.bit_generator.state == theirs.bit_generator.state
 
 
@@ -889,35 +932,35 @@ class StubGenerator:
         (7, (2, 3, 5, 7, 11, 64, 100)),  # j = 0 is uniform on a mask neither empty nor full
     ],
 )
-def test_effective_draw_on_every_cdf_boundary_is_searchsorted(n, marked, monkeypatch):
-    fallbacks = []
-    reference_locate = search._Evolution.locate
-
-    def counted(self, iterations, v):
-        fallbacks.append(v)
-        return reference_locate(self, iterations, v)
-
-    monkeypatch.setattr(search._Evolution, "locate", counted)
+def test_effective_draw_on_every_cdf_boundary_is_searchsorted(n, marked):
+    # Just inside each interval of the class-ordered CDF the draw is its
+    # index; on an edge, float rounding may give the index on either side.
+    # A uniform state is located exactly, as floor(v N) in class order.
     oracle = direct_marking_oracle(n, marked)
-    iterations = list(range(int(2 * math.sqrt(1 << n)) + 3))
+    order, size = class_order(oracle), 1 << n
+    iterations = list(range(int(2 * math.sqrt(size)) + 3))
     for j, probs in stepped_probabilities(oracle, iterations).items():
-        cdf = (probs / probs.sum()).cumsum()
-        cdf /= cdf[-1]
-        values = np.concatenate([[0.0], cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0)])
-        values = values[values < 1.0]
-        rng = StubGenerator(values)
-        for v in values:
-            assert grover_search(oracle, j, rng) == int(cdf.searchsorted(v, side="right")), (j, v)
-    assert fallbacks  # the CDF path really ran on values at the boundaries
+        cdf = class_ordered_cdf(probs, order)
+        edges = [cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0), cdf - 2 * EDGE, cdf + 2 * EDGE]
+        values = np.concatenate([[0.0], *edges])
+        for v in values[(0.0 <= values) & (values < 1.0)]:
+            assert grover_search(oracle, j, StubGenerator([v])) in near(cdf, order, v), (j, v)
+        if j == 0 or len(marked) in (0, size):
+            edges = np.arange(size) / size
+            for v in np.concatenate([edges, np.nextafter(edges[1:], 0.0)]):
+                assert grover_search(oracle, j, StubGenerator([v])) == order[int(v * size)], (j, v)
 
 
 @pytest.mark.parametrize("backend", ["dense", "effective"])
 def test_shots_on_every_cdf_boundary_are_the_scalar_draws(backend):
     oracle = direct_marking_oracle(3, (1, 4, 6))
+    evolution = search._evolution(oracle, backend)
     for j in range(4):
-        probs = search._evolution(oracle, backend).probabilities(j)
-        cdf = (probs / probs.sum()).cumsum()
-        cdf /= cdf[-1]
+        if backend == "dense":
+            probs = evolution.record(j)[0]
+        else:
+            probs = record_probabilities(evolution, j)
+        cdf = class_ordered_cdf(probs, class_order(oracle))
         values = np.concatenate([[0.0], cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0)])
         values = values[values < 1.0]
         want = [grover_search(oracle, j, StubGenerator([v]), backend) for v in values]
@@ -926,45 +969,103 @@ def test_shots_on_every_cdf_boundary_are_the_scalar_draws(backend):
 
 
 def test_effective_draw_builds_no_cdf_away_from_the_boundaries(monkeypatch):
-    def no_cdf(self, iterations, v):
-        raise AssertionError(f"the CDF path ran at j={iterations}, v={v}")
+    # no draw builds a CDF, near an edge or not, and a uniform state (j = 0,
+    # or one class empty) is drawn with no step
+    def no_cdf(probs):
+        raise AssertionError("a CDF was built")
 
-    monkeypatch.setattr(search._Evolution, "locate", no_cdf)
+    monkeypatch.setattr(search, "_measurement_cdf", no_cdf)
     gen = np.random.default_rng(11)
     cases = ((1, 1), (4, 0), (6, 16), (9, 100), (9, 500), (12, 4096), (12, 1500), (7, 0), (9, 512))
     for n, count in cases:
         marked = gen.choice(1 << n, size=count, replace=False)
         oracle = direct_marking_oracle(n, marked.tolist())
         rng = np.random.default_rng(n)
-        # only a uniform state is drawn without the CDF: j = 0, or one class empty
         uniform = count in (0, 1 << n)
-        for j in (0, 1, 2, 5, int(2 * math.sqrt(1 << n)) + 2) if uniform else (0,):
+        for j in (0, 1, 2, 5, int(2 * math.sqrt(1 << n)) + 2):
             for _ in range(300):
                 grover_search(oracle, j, rng)
+            grover_search(oracle, j, StubGenerator(np.linspace(0.0, 1.0, 64, endpoint=False)), shots=64)
+            if uniform:
+                assert len(oracle.evolution.records) == 1
 
 
-def test_qes_on_an_empty_oracle_steps_nothing(monkeypatch):
+def test_qes_on_an_empty_oracle_steps_nothing():
     # With no marked index the state is uniform at every j, so a round draws
-    # floor(v N): only a v within the margin of a boundary takes the CDF
-    # path, which records its j and steps the state there.
-    cdf_path = []
-    reference_locate = search._Evolution.locate
-
-    def counted(self, iterations, v):
-        cdf_path.append(v)
-        return reference_locate(self, iterations, v)
-
-    monkeypatch.setattr(search._Evolution, "locate", counted)
-    clean = 0
+    # floor(v N) with no step, even when its log is read.
     for seed in range(50):
-        cdf_path.clear()
         oracle = direct_marking_oracle(12, ())
         outcome = qes(oracle, np.random.default_rng(seed))
         assert outcome.timed_out and max(r.iterations for r in outcome.rounds) > 1
-        if not cdf_path:
-            clean += 1
-            assert len(oracle.evolution.records) == 1, seed
-    assert clean >= 45
+        assert len(oracle.evolution.records) == 1, seed
+
+
+@st.composite
+def small_oracles(draw):
+    n = draw(st.integers(1, 6))
+    size = 1 << n
+    count = draw(st.one_of(st.sampled_from([0, 1, size // 4, size // 2 + 1, size]), st.integers(0, size)))
+    marked = draw(st.permutations(range(size)))[:count]
+    return n, marked, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_oracles())
+def test_dense_and_effective_draw_alike_in_class_order(case):
+    # at every j <= 2 sqrt(N), both backends draw the same indices from one
+    # seed, and each effective draw is the class-ordered inversion of the
+    # stepped probabilities unless its uniform is within EDGE of an edge
+    n, marked, seed = case
+    oracle = direct_marking_oracle(n, marked)
+    order = class_order(oracle)
+    iterations = list(range(int(2 * math.sqrt(1 << n)) + 1))
+    for j, probs in stepped_probabilities(oracle, iterations).items():
+        v = np.random.default_rng(seed).random(16)
+        drawn = {
+            backend: grover_search(oracle, j, np.random.default_rng(seed), backend, shots=16)
+            for backend in search.BACKENDS
+        }
+        assert drawn["dense"].tolist() == drawn["effective"].tolist(), j
+        cdf = class_ordered_cdf(probs, order)
+        assert all(k in near(cdf, order, u) for k, u in zip(drawn["effective"].tolist(), v)), j
+
+
+@pytest.mark.parametrize(
+    "n, marked, j, first, last",
+    [
+        (5, (), 3, 0, 31),  # M = 0: uniform
+        (5, tuple(range(32)), 3, 0, 31),  # M = N: uniform
+        (6, tuple(range(3, 64, 4)), 1, 3, 63),  # M = N/4 at j = 1: no unmarked mass
+        (6, (9, 40, 41), 2, 9, 63),
+        (6, (9, 40, 41), 0, 9, 63),
+    ],
+)
+def test_effective_draw_at_the_ends_of_the_unit_interval(n, marked, j, first, last):
+    # v = 0 draws the first index of positive mass in class order and
+    # v = 1 - 2^-53 the last, singly or as a block, with no numpy warning
+    oracle = direct_marking_oracle(n, marked)
+    ends = [0.0, 1.0 - 2.0**-53]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        single = [grover_search(oracle, j, StubGenerator([v])) for v in ends]
+        block = grover_search(oracle, j, StubGenerator(ends), shots=2)
+    assert single == block.tolist() == [first, last]
+
+
+def test_effective_draws_allocate_under_one_float_per_index_once_recorded():
+    n = 20
+    oracle = direct_marking_oracle(n, range(0, 1 << n, 97))
+    search._evolution(oracle).record(3)
+    rng = np.random.default_rng(20)
+    tracemalloc.start()
+    try:
+        for _ in range(1000):
+            grover_search(oracle, 3, rng)
+        grover_search(oracle, 3, rng, shots=2**16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (1 << n) * 8, peak
 
 
 class Spawner:
@@ -980,15 +1081,10 @@ class Spawner:
         return children
 
 
-def choice_cdf(probs):
-    """The CDF ``rng.choice(probs.size, p=probs / probs.sum())`` searches its uniforms in."""
-    cdf = (probs / probs.sum()).cumsum()
-    return cdf / cdf[-1]
-
-
 def reference_gas(table, direction, master, repetitions):
     """``gas`` on the effective backend, each round drawn by ``searchsorted``
-    in the CDF of probabilities stepped from |psi>, as ``rng.choice`` draws.
+    in the class-ordered CDF of probabilities stepped from |psi>, as
+    ``rng.choice`` draws from them laid out in class order.
 
     Exponential search draws its rounds in blocks: the j of a block's rounds
     first, then their uniforms. The first block holds twice the rounds of the
@@ -1009,8 +1105,9 @@ def reference_gas(table, direction, master, repetitions):
         while calls <= budget:
             if cdfs is None:
                 oracle = direct_marking_oracle(table.n, np.flatnonzero(better(values, values[j])))
+                order = class_order(oracle)
                 probs = stepped_probabilities(oracle, [math.ceil(math.sqrt(n_space))])
-                cdfs = {k: choice_cdf(p) for k, p in probs.items()}
+                cdfs = {k: class_ordered_cdf(p, order) for k, p in probs.items()}
             sub_budget = max(1, min(per_qes, math.ceil(budget - calls)))
             used, found, first, size = 0, None, 0, 2 * len(ceilings) + 16
             while found is None and used <= sub_budget:
@@ -1019,7 +1116,7 @@ def reference_gas(table, direction, master, repetitions):
                 for k, v in zip(ks.tolist(), child.random(size).tolist()):
                     if used > sub_budget:  # this round would start over budget
                         break
-                    measured = int(cdfs[k].searchsorted(v, side="right"))
+                    measured = int(order[cdfs[k].searchsorted(v, side="right")])
                     used += k
                     if better(values[measured], values[j]):
                         found = measured
@@ -1061,10 +1158,10 @@ class SpawnOne(np.random.Generator):
 def test_gas_spawns_each_child_as_its_repetition_starts():
     gen = np.random.default_rng(12)
     table = ValueTable(6, gen.integers(0, 64, 1 << 9).tolist())
-    # results of ``rng.spawn(4)`` up front, with ``default_rng(seed)``
+    # results of ``rng.spawn(4)`` up front, with ``default_rng(seed)``, from ``reference_gas``
     want = {
-        0: (421, 63, 2520, [(410, 421, 628, 6), (338, 291, 626, 1), (336, 291, 627, 4), (456, 359, 639, 1)]),
-        5: (395, 63, 2507, [(112, 395, 633, 4), (275, 154, 625, 2), (411, 395, 625, 6), (113, 359, 624, 4)]),
+        0: (421, 63, 2505, [(410, 421, 630, 3), (338, 152, 624, 1), (336, 421, 625, 6), (456, 152, 626, 3)]),
+        5: (395, 63, 2501, [(112, 395, 628, 3), (275, 291, 624, 3), (411, 228, 625, 2), (113, 421, 624, 3)]),
     }
     for seed, (index, value, calls, logs) in want.items():
         rng = SpawnOne(np.random.PCG64(seed))
@@ -1095,13 +1192,14 @@ def test_effective_draw_with_no_unmarked_mass():
 
 
 def dense_search_from_scratch(oracle, iterations, rng):
-    """Prepare from |0>, apply a freshly built Grover operator j times, measure."""
+    """Prepare from |0>, apply a freshly built Grover operator j times, and
+    draw from the index marginal in class order as ``rng.choice`` draws."""
     state = sim.apply(sim.new_basis_state(oracle.num_qubits, 0), oracle.prep_circuit)
     op = grover_operator(oracle)
     for _ in range(iterations):
         state = sim.apply(state, op)
-    outcome, _ = sim.measure_subregister(state, oracle.layout.index, rng)
-    return outcome
+    marginal = sim.subregister_distribution(state, oracle.layout.index)
+    return choice_in_class_order(rng, marginal, class_order(oracle))
 
 
 def dense_stream_oracles():
