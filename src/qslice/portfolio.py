@@ -105,6 +105,13 @@ def _quantized(values: Sequence[float] | np.ndarray, t: int) -> np.ndarray:
     return np.minimum(np.floor(values * scale + 0.5), scale - 1.0).astype(np.int64)
 
 
+def _padded(values: np.ndarray, size: int, fill: int = 0) -> np.ndarray:
+    """``values`` followed by ``fill`` up to ``size`` entries, as ``np.pad`` pads them."""
+    padded = np.full(size, fill, dtype=values.dtype)
+    padded[: values.size] = values
+    return padded
+
+
 def _check_t(t: int) -> None:
     # a quantized value's int64 cast is exact up to a double's 53 significand bits
     if not 1 <= t <= sys.float_info.mant_dig:
@@ -131,15 +138,14 @@ def load_frontier(source: TextIO, t: int) -> FrontierTable:
     for column in columns:
         column.flags.writeable = False
     padded_n = max(1, math.ceil(math.log2(len(ids))))
-    pad = (0, (1 << padded_n) - len(ids))
     return FrontierTable(
         ids=ids,
         expected_returns=rets,
         std_devs=stds,
         t=t,
         padded_n=padded_n,
-        returns=ValueTable(t, np.pad(_quantized(rets, t), pad)),
-        sigmas=ValueTable(t, np.pad(_quantized(stds, t), pad, constant_values=(1 << t) - 1)),
+        returns=ValueTable(t, _padded(_quantized(rets, t), 1 << padded_n)),
+        sigmas=ValueTable(t, _padded(_quantized(stds, t), 1 << padded_n, (1 << t) - 1)),
     )
 
 
@@ -268,7 +274,7 @@ def sharpe_values(table: FrontierTable, risk_free_rate: float) -> ValueTable:
             f"{clamped} portfolio(s) had negative Sharpe ratio and were clamped to 0",
             stacklevel=2,
         )
-    return ValueTable(t, np.pad(values, (0, table.size - values.size)))
+    return ValueTable(t, _padded(values, table.size))
 
 
 @dataclass

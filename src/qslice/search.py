@@ -17,15 +17,18 @@ class-ordered CDF, marked indices ascending and then unmarked ones: the
 effective backend from the marked and unmarked amplitudes alone, with no
 CDF, and with no step while the state is uniform; the dense backend in the
 CDF of its simulated index marginal. Enumeration's fixed-j runs are drawn as
-blocks located at once. Exponential search draws its rounds in blocks too,
+blocks located at once, each about twice the runs expected to collect the
+solutions still missing. Exponential search draws its rounds in blocks too,
 cut at its budget, and locates them one by one until one succeeds; on an
 oracle with no marked index it locates none unless its log is read.
 Dense counting reads the same memo: its register law depends only on the
 overlaps r(k) = <psi|G^k psi>, k < 2^m, recorded next to each marginal, and
 follows from them by one FFT, with no register qubit simulated. A count's
 samples are located where ``rng.choice`` draws them in the law's CDF; an
-effective count evaluates that CDF in two windows around the law's peaks and
-builds the whole law (one kernel, mirrored) only for a uniform they cannot place.
+effective count evaluates that CDF in windows around the law's two peaks,
+128 outcomes each side first and up to 4096 only for a uniform those cannot
+place, and builds the whole law (one kernel, mirrored) only for a uniform
+neither can.
 
 Sampling is deterministic for a given ``numpy.random.Generator``; independent
 repetitions derive child generators by spawning, one as each starts, so runs
@@ -672,9 +675,11 @@ class _PeakWindows(_CountingLaw):
 
     At a point mass the float CDF steps by exactly 0.5 at round(x) and at its
     mirror, or by 1 where they coincide. Otherwise the CDF F is evaluated on
-    the W = min(4096, x0 - 1, 2^(m-1) - x0 - 1) outcomes each side of
-    x0 = round(x), and mirrored as F(b) = 1 + P(0) - F(2^m - b - 1).
-    Uniforms these cannot place, and all when W < 128, go to the full law.
+    the W outcomes each side of x0 = round(x), and mirrored as
+    F(b) = 1 + P(0) - F(2^m - b - 1), in tiers built narrowest first, each
+    only for uniforms the tiers before it cannot place: W = 128, then
+    W = min(4096, x0 - 1, 2^(m-1) - x0 - 1), then the full law. A tier no
+    wider than the one before is skipped, and all are when that W < 128.
     """
 
     def __init__(self, n_space: int, n_marked: int, m: int):
@@ -691,33 +696,54 @@ class _PeakWindows(_CountingLaw):
         peak = round(x)
         if abs(x - peak) < 1e-12:
             low, high = sorted((peak % size, -peak % size))
-            self._windows = ((np.array([0.0, 0.5]), low - 1), (np.array([0.5, 1.0]), high - 1))
+            self._pairs = [((np.array([0.0, 0.5]), low - 1), (np.array([0.5, 1.0]), high - 1))]
+            self._halves = []
             return
-        half = min(4096, peak - 1, size // 2 - peak - 1)
-        self._windows = ()
-        if half < 128:
-            return
-        window = np.arange(peak - half, peak + half + 1, dtype=float)
-        mirror = _qpe_kernel(phi, size, size - window)
-        probs = (_qpe_kernel(phi, size, window) + mirror) * 0.5
-        p0 = float(_qpe_kernel(phi, size, np.zeros(1))[0])
-        left = np.cumsum(np.concatenate(([_left_tail(x, peak - half - 1, size, p0)], probs)))
-        # F at the outcomes from peak - half - 1 on, and from 2^m - peak - half - 1 on
-        self._windows = ((left, peak - half - 1), (1.0 + p0 - left[::-1], size - peak - half - 1))
+        self._peak = (phi, size, x, peak)
+        widest = min(4096, peak - 1, size // 2 - peak - 1)
+        self._pairs = []  # the tiers built so far
+        self._halves = sorted({128, widest}) if widest >= 128 else []  # the W of the rest
 
     @cached_property
     def distribution(self) -> np.ndarray:
         return counting_distribution(*self._law)
 
+    def _tiers(self):
+        """The pairs of windows, narrowest first, each built when first reached."""
+        k = 0
+        while k < len(self._pairs) or self._halves:
+            if k == len(self._pairs):
+                self._pairs.append(self._window_pair(self._halves.pop(0)))
+            yield self._pairs[k]
+            k += 1
+
+    def _window_pair(self, half: int) -> tuple:
+        """F at the outcomes from x0 - W - 1 on, and from 2^m - x0 - W - 1 on."""
+        phi, size, x, peak = self._peak
+        window = np.arange(peak - half, peak + half + 1, dtype=float)
+        # one kernel pass: outcome 0, the window, then its mirror
+        terms = _qpe_kernel(phi, size, np.concatenate(([0.0], window, size - window)))
+        p0, probs, mirror = terms[0], terms[1 : window.size + 1], terms[window.size + 1 :]
+        probs = (probs + mirror) * 0.5
+        left = np.cumsum(np.concatenate(([_left_tail(x, peak - half - 1, size, p0)], probs)))
+        return (left, peak - half - 1), (1.0 + p0 - left[::-1], size - peak - half - 1)
+
     def locate(self, v: np.ndarray) -> np.ndarray:
         b = np.full(v.shape, -1)
-        for edges, first in self._windows:
-            j = np.clip(edges.searchsorted(v, side="right"), 1, edges.size - 1)
-            inside = (edges[j - 1] + self._margin <= v) & (v < edges[j] - self._margin)
-            b[inside] = first + j[inside]
-        missed = b < 0
-        if missed.any():  # in a tail, between the windows, or near an edge
-            b[missed] = super().locate(v[missed])
+        left = np.arange(v.size)  # the draws no tier has placed
+        for pair in self._tiers():
+            u = v[left]
+            placed = np.zeros(u.shape, dtype=bool)
+            for edges, first in pair:
+                j = np.clip(edges.searchsorted(u, side="right"), 1, edges.size - 1)
+                inside = (edges[j - 1] + self._margin <= u) & (u < edges[j] - self._margin)
+                b[left[inside]] = first + j[inside]
+                placed |= inside
+            left = left[~placed]
+            if not left.size:
+                return b
+        # in a tail, between the windows, or near an edge
+        b[left] = super().locate(v[left])
         return b
 
 
@@ -803,6 +829,15 @@ def _median_count(
     return rounded[len(rounded) // 2], est
 
 
+def _enumeration_block(m_hat: int, missing: int, p: float, runs_left: int) -> int:
+    """The runs of the next block: twice the m_hat H_k / p runs expected to
+    draw the k = ``missing`` solutions still unseen, with H_k taken as
+    ln k + gamma + 1/(2k), and at least 64, the runs left allowing, and at
+    most ``ENUMERATION_BLOCK``."""
+    harmonic = math.log(missing) + np.euler_gamma + 0.5 / missing
+    return min(max(64, math.ceil(2.0 * m_hat * harmonic / p)), runs_left, ENUMERATION_BLOCK)
+
+
 def enumerate_solutions(
     oracle: OracleCircuit,
     rng: np.random.Generator,
@@ -849,7 +884,7 @@ def enumerate_solutions(
         # The runs come as a block. If the set completes inside it, the
         # generator is rewound and redraws only the used runs' uniforms, so it
         # ends where drawing run by run up to the last find leaves it.
-        shots = min(max_attempts - runs, ENUMERATION_BLOCK)
+        shots = _enumeration_block(m_hat, m_hat - found.size, p, max_attempts - runs)
         saved = rng.bit_generator.state
         draws = grover_search(oracle, iterations, rng, backend, shots=shots)
         # the solutions new to this block, each at the run that first drew it;

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,26 @@ def test_load_pads_to_power_of_two():
     assert table.returns.values[5:] == (0, 0, 0)
     assert table.sigmas.values[5:] == (15, 15, 15)
     assert all(table.is_sentinel(k) for k in range(5, 8))
+
+
+@pytest.mark.parametrize("rows", [1, 8, 5])  # padded to 2, not padded, ragged
+def test_padded_tables_are_np_pad_bit_for_bit(rows):
+    t = 5
+    gen = np.random.default_rng(rows)
+    rets, stds = gen.uniform(0.01, 0.9, rows), gen.uniform(0.01, 0.9, rows)
+    table = load_frontier(make_csv(zip(range(rows), rets.tolist(), stds.tolist())), t)
+    pad = (0, table.size - rows)
+    want_returns = np.pad(portfolio._quantized(table.expected_returns, t), pad)
+    want_sigmas = np.pad(
+        portfolio._quantized(table.std_devs, t), pad, constant_values=(1 << t) - 1
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a clamped Sharpe ratio warns
+        sharpe = sharpe_values(table, 0.05)
+    want_sharpe = np.pad(sharpe.array[:rows], pad)
+    for got, want in [(table.returns, want_returns), (table.sigmas, want_sigmas),
+                      (sharpe, want_sharpe)]:
+        assert got.array.dtype == want.dtype and got.array.tobytes() == want.tobytes()
 
 
 def test_load_errors():

@@ -383,10 +383,10 @@ def reference_cdf(n_space, marked_count, m):
     return cdf
 
 
-def placed_share(law, v):
-    """The share of ``v`` an effective counting law places in its windows."""
+def placed_share(law, v, pairs):
+    """The share of ``v`` an effective counting law places in the window ``pairs``."""
     placed = np.zeros(v.shape, dtype=bool)
-    for edges, _ in law._windows:
+    for edges, _ in (window for pair in pairs for window in pair):
         j = np.clip(edges.searchsorted(v, side="right"), 1, edges.size - 1)
         placed |= (edges[j - 1] + law._margin <= v) & (v < edges[j] - law._margin)
     return float(placed.mean())
@@ -412,12 +412,16 @@ def test_peak_windows_locate_every_uniform_where_the_full_cdf_does():
         cdf = reference_cdf(size, marked_count, m)
         seeded = gen.random(11_000)
         seeded_uniforms += seeded.size
-        probes = [seeded, [0.0, 1e-300, 0.25, 0.5, 0.75, np.nextafter(1.0, 0.0)]]
-        if law._windows:
-            if law._windows[0][0].size > 2:  # not a point mass
-                widths[size, marked_count, m] = law._windows[0][0].size // 2 - 1
-            assert placed_share(law, seeded) > 0.99, (size, marked_count, m)
-            edges = np.concatenate([edges for edges, _ in law._windows])
+        # the seeded uniforms first, building the tiers as they are reached
+        got = law.locate(seeded)
+        assert (got == cdf.searchsorted(seeded, side="right")).all(), (size, marked_count, m)
+        probes = [[0.0, 1e-300, 0.25, 0.5, 0.75, np.nextafter(1.0, 0.0)]]
+        pairs = list(law._tiers())  # every tier, narrowest first
+        if pairs:
+            if pairs[0][0][0].size > 2:  # not a point mass
+                widths[size, marked_count, m] = [edges.size // 2 - 1 for (edges, _), _ in pairs]
+            assert placed_share(law, seeded, pairs) > 0.99, (size, marked_count, m)
+            edges = np.concatenate([edges for pair in pairs for edges, _ in pair])
             probes += [edges + d for d in (-1e-13, -1e-16, 0.0, 1e-16, 1e-13)]
             # the full CDF's own values within 300 outcomes of both peaks, and
             # the doubles either side of each
@@ -427,11 +431,15 @@ def test_peak_windows_locate_every_uniform_where_the_full_cdf_does():
             probes += [near, np.nextafter(near, 0.0), np.nextafter(near, 1.0)]
         v = np.concatenate(probes)
         v = v[(v >= 0.0) & (v < 1.0)]
-        got = law.locate(v)
-        want = cdf.searchsorted(v, side="right")
-        assert (got == want).all(), (size, marked_count, m, v[got != want][:5])
+        # a fresh law builds its tiers for these probes alone
+        for located in (law, search._PeakWindows(size, marked_count, m)):
+            got = located.locate(v)
+            want = cdf.searchsorted(v, side="right")
+            assert (got == want).all(), (size, marked_count, m, v[got != want][:5])
     assert seeded_uniforms >= 10**6
-    assert widths[128, 19, 10] == 128 and widths[128, 5, 11] == 129
+    # narrow first: W = 128, then the widest W that fits, up to 4096
+    assert widths[128, 19, 10] == [128] and widths[128, 5, 11] == [128, 129]
+    assert widths[4096, 1024, 17] == [128, 4096]
     assert (128, 63, 9) not in widths and (512, 255, 9) not in widths
 
 
@@ -469,10 +477,41 @@ def test_peak_windows_leave_under_1e4_of_draws_to_the_full_law_at_4096_rows():
     m = m_exact(4096) + search.ENUMERATION_EXTRA_BITS
     for marked_count in range(1, 41):
         law = search._PeakWindows(4096, marked_count, m)
-        edges, _ = law._windows[0]
+        (edges, _), _ = list(law._tiers())[-1]  # the widest pair
         window_mass = edges[-1] - edges[0]  # the mirrored window's too
         margin_bands = 4 * law._margin * edges.size
         assert 1.0 - 2.0 * window_mass + margin_bands <= 1e-4, marked_count
+
+
+def test_counts_placed_in_the_narrow_windows_build_no_wide_pair(monkeypatch):
+    kernel_sizes = []
+    real = search._qpe_kernel
+
+    def recorded(phi, size, dist):
+        kernel_sizes.append(dist.size)
+        return real(phi, size, dist)
+
+    monkeypatch.setattr(search, "_qpe_kernel", recorded)
+    m = m_exact(4096) + search.ENUMERATION_EXTRA_BITS
+    samples = search.ENUMERATION_SAMPLES
+    narrow_pass = 1 + 2 * (2 * 128 + 1)  # outcome 0, the W = 128 window and its mirror
+    narrow_counts = 0
+    for marked_count in (1, 2, 40, 1000, 2000):
+        oracle = direct_marking_oracle(12, list(range(marked_count)))
+        narrow = next(search._PeakWindows(4096, marked_count, m)._tiers())
+        for seed in range(20):
+            # the count's one uniform and its median's, as the count draws them
+            v = np.random.default_rng([marked_count, seed]).random(1 + samples)
+            kernel_sizes.clear()
+            rng = np.random.default_rng([marked_count, seed])
+            median, est = search._median_count(oracle, m, rng, "effective", samples)
+            assert median == marked_count
+            if placed_share(est.law, v, [narrow]) == 1.0:
+                narrow_counts += 1
+                assert kernel_sizes == [narrow_pass], (marked_count, seed)
+            else:  # the wide pair is built next, for the uniforms the narrow one left
+                assert kernel_sizes[0] == narrow_pass < kernel_sizes[1], (marked_count, seed)
+    assert narrow_counts >= 90
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +613,9 @@ def enumeration_outcome(enumerate_, n, marked, backend, seed):
     rng = np.random.default_rng(seed)
     try:
         r = enumerate_(direct_marking_oracle(n, marked), rng, backend)
-        fields = (r.indices, r.oracle_calls, r.grover_runs, r.doubled, r.count_estimate.b)
+        est = r.count_estimate
+        count = (est.m, est.b, est.n_space, est.theta_est, est.m_est, est.m_rounded, est.bound)
+        fields = (r.indices, r.oracle_calls, r.grover_runs, r.doubled, count)
     except SearchDisagreement as exc:
         fields = str(exc)
     return fields, rng.bit_generator.state
@@ -625,6 +666,51 @@ def test_block_enumeration_is_the_scalar_loop_on_an_undercount(block, monkeypatc
             seed = int(gen.integers(2**32))
             want = enumeration_outcome(scalar_enumeration, n, marked, "effective", seed)
             assert enumeration_outcome(enumerate_solutions, n, marked, "effective", seed) == want
+
+
+#: Block sizings for ``enumerate_solutions``: fixed sizes, and each block
+#: holding every run up to the cap (``ENUMERATION_BLOCK`` still bounds it).
+BLOCK_SIZINGS = {
+    "1": lambda m_hat, missing, p, runs_left: min(1, runs_left),
+    "7": lambda m_hat, missing, p, runs_left: min(7, runs_left),
+    "64": lambda m_hat, missing, p, runs_left: min(64, runs_left),
+    "to the cap": lambda m_hat, missing, p, runs_left: min(runs_left, search.ENUMERATION_BLOCK),
+}
+
+
+#: Counts as ``_median_count`` reports them: true, one over, halved.
+MISCOUNTS = {"exact": lambda m_hat: m_hat, "over": lambda m_hat: m_hat + 1,
+             "under": lambda m_hat: (m_hat + 1) // 2}
+
+
+@pytest.mark.parametrize("sizing", BLOCK_SIZINGS)
+@pytest.mark.parametrize("miscount", MISCOUNTS)
+@pytest.mark.parametrize(
+    "backend, n, count",
+    [("effective", 10, 0), ("effective", 10, 5), ("effective", 10, 100),
+     ("effective", 8, 200), ("dense", 3, 2), ("dense", 3, 7)],
+)
+def test_enumeration_is_the_same_whatever_its_block_sizes(
+    backend, n, count, miscount, sizing, monkeypatch
+):
+    # M = 0, sparse M, and M > N/2 (a doubled oracle). An overcount ends the
+    # runs at the cap in a SearchDisagreement, whose message is compared; an
+    # undercount completes the set before every solution is drawn.
+    real = search._median_count
+
+    def reported(*args):
+        m_hat, estimate = real(*args)
+        return MISCOUNTS[miscount](m_hat), estimate
+
+    monkeypatch.setattr(search, "_median_count", reported)
+    marked = np.random.default_rng([n, count]).choice(1 << n, size=count, replace=False).tolist()
+    outcomes = []
+    for block in (search._enumeration_block, BLOCK_SIZINGS[sizing]):
+        monkeypatch.setattr(search, "_enumeration_block", block)
+        outcomes.append(enumeration_outcome(enumerate_solutions, n, marked, backend, count))
+    assert outcomes[0] == outcomes[1]
+    if miscount != "under":  # halving M > N/2 skips the doubling, and may end at the cap
+        assert isinstance(outcomes[0][0], str) == (miscount == "over")
 
 
 def test_enumeration_draws_its_runs_in_a_few_blocks(monkeypatch):
