@@ -23,12 +23,12 @@ cut at its budget, and locates them one by one until one succeeds; on an
 oracle with no marked index it locates none unless its log is read.
 Dense counting reads the same memo: its register law depends only on the
 overlaps r(k) = <psi|G^k psi>, k < 2^m, recorded next to each marginal, and
-follows from them by one FFT, with no register qubit simulated. A count's
-samples are located where ``rng.choice`` draws them in the law's CDF; an
-effective count evaluates that CDF in windows around the law's two peaks,
-128 outcomes each side first and up to 4096 only for a uniform those cannot
-place, and builds the whole law (one kernel, mirrored) only for a uniform
-neither can.
+follows from them by one FFT, with no register qubit simulated. Both
+backends draw a count's outcomes by rejection from one closed-form envelope
+of the two-kernel law, with the same uniforms; the effective backend accepts
+by the law in closed form, with no array of 2^m outcomes, and the dense
+backend by its simulated law. A point mass locates one uniform per draw in
+the law's CDF.
 
 Sampling is deterministic for a given ``numpy.random.Generator``; independent
 repetitions derive child generators by spawning, one as each starts, so runs
@@ -41,6 +41,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache, partial
+from typing import Callable
 
 import numpy as np
 
@@ -441,7 +442,9 @@ class CountEstimate:
     """A counting outcome b, the solution-count estimate and its error bound.
 
     ``m`` is the register width; ``bound`` is ``register_error_bound`` at the
-    rounded estimate; ``law``, the law ``b`` was drawn from, builds its arrays on first read.
+    rounded estimate; ``law`` builds the law ``b`` was drawn from. Its arrays,
+    ``distribution`` and ``cdf``, are built on first read, and an effective
+    count's register above ``sim.DENSE_QUBIT_CAP`` qubits is refused then.
     """
 
     m: int
@@ -451,15 +454,15 @@ class CountEstimate:
     m_est: float
     m_rounded: int
     bound: float
-    law: _CountingLaw = field(repr=False)
+    law: Callable[[], np.ndarray] = field(repr=False)
 
-    @property
+    @cached_property
     def distribution(self) -> np.ndarray:
-        return self.law.distribution
+        return self.law()
 
-    @property
+    @cached_property
     def cdf(self) -> np.ndarray:
-        return self.law.cdf
+        return _measurement_cdf(self.distribution)
 
     def classify(self) -> str:
         """Three-way class used by solution detection: none, single, multiple."""
@@ -577,20 +580,15 @@ def qpe_distribution(phase_turns: float, m: int) -> np.ndarray:
         dist = np.zeros(size)
         dist[nearest % size] = 1.0
         return dist
-    return _qpe_kernel(phi, size, np.arange(size, dtype=float))
-
-
-def _qpe_kernel(phi: float, size: int, dist: np.ndarray) -> np.ndarray:
-    """``qpe_distribution``'s law at the float outcomes ``dist``, in place."""
-    x = phi * size
     # in place: phi - b / 2^m, then the denominator, then the quotient
+    dist = np.arange(size, dtype=float)
     dist /= -size
     dist += phi
     dist *= np.pi
     np.sin(dist, out=dist)
     dist *= size
     np.square(dist, out=dist)
-    return np.divide(math.sin(math.pi * (x - round(x))) ** 2, dist, out=dist)
+    return np.divide(math.sin(math.pi * (x - nearest)) ** 2, dist, out=dist)
 
 
 def counting_distribution(n_space: int, n_marked: int, m: int) -> np.ndarray:
@@ -627,145 +625,140 @@ def quantum_counting(
 ) -> CountEstimate:
     """Phase-estimate the Grover operator to count solutions.
 
-    Returns one sample of the exact outcome law, drawn as ``rng.choice``
-    draws it, with the law (kept on the estimate for further samples). The
+    Returns one sample of the exact outcome law, with a builder of the law
+    kept on the estimate. Both backends draw it as ``_count`` does. The
     dense law follows from the overlaps <psi|G^k psi>, k < 2^m, that the
     oracle's Grover-evolution memo records, so a later search with j < 2^m
-    steps nothing; the effective law follows from the two eigenphases.
+    steps nothing; the effective count follows from the two eigenphases and
+    allocates no array of 2^m outcomes, so its register may exceed the dense
+    cap.
+    """
+    return _count(oracle, m, rng, backend, 1)[0]
+
+
+def _count(
+    oracle: OracleCircuit,
+    m: int,
+    rng: np.random.Generator,
+    backend: str,
+    draws: int,
+) -> tuple[CountEstimate, np.ndarray]:
+    """``draws`` outcomes of one m-qubit count, drawn as one batch, and the
+    estimate of the first.
+
+    Within 1e-12 of an integer x = 2^m phi (no solution, every index a
+    solution, or an exact phase) the law is a point mass, and each draw
+    locates one uniform in its CDF: steps of 1/2 at round(x) and at its
+    mirror on the effective backend, the simulated CDF on the dense one.
+    Otherwise both backends draw by ``_CountSampler`` with the same
+    uniforms, the dense one accepting by its simulated law.
     """
     _check_backend(backend)
     if m < 1:
         raise ValueError("m must be >= 1")
-    n_space = oracle.index_size
+    n_space, n_marked, size = oracle.index_size, len(oracle.marked_set), 1 << m
     if backend == "dense":
-        law = _CountingLaw(_dense_counting_distribution(oracle, m))
+        dist = _dense_counting_distribution(oracle, m)
+        law = lambda: dist
     else:
-        law = _PeakWindows(n_space, len(oracle.marked_set), m)
-    b = int(law.locate(rng.random(1))[0])
+        dist, law = None, partial(counting_distribution, n_space, n_marked, m)
+    phi = grover_angle(n_space, n_marked) / (2.0 * math.pi) if n_marked else 0.0
+    x = phi * size
+    peak = round(x)
+    if abs(x - peak) >= 1e-12:
+        outcomes = _CountSampler(x, size).draw(draws, rng, dist)
+    elif dist is not None:
+        outcomes = _measurement_cdf(dist).searchsorted(rng.random(draws), side="right")
+    else:
+        low, high = sorted((peak % size, -peak % size))
+        outcomes = np.where(rng.random(draws) < 0.5, low, high)
+    b = int(outcomes[0])
     theta_est, m_est, m_rounded = estimate_from_outcome(b, m, n_space)
-    return CountEstimate(
-        m=m,
-        b=b,
-        n_space=n_space,
-        theta_est=theta_est,
-        m_est=m_est,
-        m_rounded=m_rounded,
-        bound=register_error_bound(n_space, max(m_rounded, 0), m),
-        law=law,
-    )
+    bound = register_error_bound(n_space, max(m_rounded, 0), m)
+    return CountEstimate(m, b, n_space, theta_est, m_est, m_rounded, bound, law), outcomes
 
 
-class _CountingLaw:
-    """A count's outcome law, whose CDF is built on first use."""
+class _CountSampler:
+    """The counting law away from a point mass, drawn by rejection.
 
-    def __init__(self, distribution: np.ndarray):
-        self.distribution = distribution
+    With x0 = round(x), delta = x - x0 and s = sin^2(pi delta), the law is
+    P(b) = (K(x - b) + K(x + b)) / 2 with K(d) = s / (2^m sin(pi d / 2^m))^2.
+    Outcome b lies at offset k from the +phi peak, b = x0 + k, and at offset
+    k' from the -phi peak, b = -x0 - k' (mod 2^m), each taken in the window
+    |k - delta| <= 2^(m-1). There sin y >= 2y / pi gives
+    K <= s / (4 (k - delta)^2), and sum_k 1 / (k - delta)^2 = pi^2 / s.
 
-    @cached_property
-    def cdf(self) -> np.ndarray:
-        return _measurement_cdf(self.distribution)
-
-    def locate(self, v: np.ndarray) -> np.ndarray:
-        """The outcomes ``rng.choice`` draws for the uniforms ``v``."""
-        return self.cdf.searchsorted(v, side="right")
-
-
-class _PeakWindows(_CountingLaw):
-    """The effective counting law, located near its peaks x = 2^m phi and 2^m - x.
-
-    At a point mass the float CDF steps by exactly 0.5 at round(x) and at its
-    mirror, or by 1 where they coincide. Otherwise the CDF F is evaluated on
-    the W outcomes each side of x0 = round(x), and mirrored as
-    F(b) = 1 + P(0) - F(2^m - b - 1), in tiers built narrowest first, each
-    only for uniforms the tiers before it cannot place: W = 128, then
-    W = min(4096, x0 - 1, 2^(m-1) - x0 - 1), then the full law. A tier no
-    wider than the one before is skipped, and all are when that W < 128.
+    A proposal takes a sign with one uniform, and an offset k with weight
+    g(k): 1 / (k - delta)^2 on the central pair floor(delta) and
+    floor(delta) + 1, and 1 / ((|k - delta| - 1/2)(|k - delta| + 1/2)) on
+    each tail, which dominates it and telescopes, so a tail is drawn by
+    inverting the continuous density 1 / y^2 and rounding. An offset
+    outside the window is rejected, and b is accepted when
+    u s (g(k) + g(k')) / 8 < P(b). About 4 / pi^2 of the proposals are
+    accepted, and never under 2/5.
     """
 
-    def __init__(self, n_space: int, n_marked: int, m: int):
-        _check_register_cap(m)  # the full law must fit, should a draw need it
-        self._law = (n_space, n_marked, m)
-        size = 1 << m
-        # The float CDF lies within about 2^(m+1) 2^-53 of the exact F of its
-        # terms, the edges within 2^(m-1) 2^-53 of it and the tail within
-        # 3.4e-3 / W^5 < 1e-13: v is placed when it clears both edges of its
-        # outcome by this margin, 8 (2^m + 8) 2^-53 >= 9e-13.
-        self._margin = (size + 8) * 2.0**-50
-        phi = grover_angle(n_space, n_marked) / (2.0 * math.pi) if n_marked else 0.0
-        x = phi * size
-        peak = round(x)
-        if abs(x - peak) < 1e-12:
-            low, high = sorted((peak % size, -peak % size))
-            self._pairs = [((np.array([0.0, 0.5]), low - 1), (np.array([0.5, 1.0]), high - 1))]
-            self._halves = []
-            return
-        self._peak = (phi, size, x, peak)
-        widest = min(4096, peak - 1, size // 2 - peak - 1)
-        self._pairs = []  # the tiers built so far
-        self._halves = sorted({128, widest}) if widest >= 128 else []  # the W of the rest
+    def __init__(self, x: float, size: int):
+        self.size = size
+        self.peak = round(x)
+        self.delta = delta = x - self.peak
+        self.s = math.sin(math.pi * delta) ** 2
+        self.low = math.floor(delta)
+        # the distances of the central pair's two offsets from delta
+        self.near, self.far = delta - self.low, self.low + 1 - delta
+        # the offset classes' cumulative weights: low, low + 1, then the
+        # tails right of low + 1 and left of low, each 1 / (distance + 1/2)
+        weights = np.cumsum([self.near**-2, self.far**-2, 1 / (self.far + 0.5), 1 / (self.near + 0.5)])
+        self.cuts, self.total = weights[:3], weights[3]
+        self.first = math.ceil(delta - size / 2)  # the window's least offset
 
-    @cached_property
-    def distribution(self) -> np.ndarray:
-        return counting_distribution(*self._law)
+    def offsets(self, pick: np.ndarray, tail: np.ndarray) -> np.ndarray:
+        """The offsets, as floats, that the uniforms ``pick`` (a class) and
+        ``tail`` (a distance in a tail) propose."""
+        which = self.cuts.searchsorted(pick * self.total, side="right")
+        # a tail's distance y from delta beyond d + 1/2 has P(y > t) = (d + 1/2) / t,
+        # and y in [d + j - 1/2, d + j + 1/2) proposes the offset j past the pair
+        d = np.where(which == 3, self.near, self.far)
+        j = np.floor((d + 0.5) / (1.0 - tail) - d + 0.5)
+        return np.choose(which, (self.low, self.low + 1, self.low + 1 + j, self.low - j))
 
-    def _tiers(self):
-        """The pairs of windows, narrowest first, each built when first reached."""
-        k = 0
-        while k < len(self._pairs) or self._halves:
-            if k == len(self._pairs):
-                self._pairs.append(self._window_pair(self._halves.pop(0)))
-            yield self._pairs[k]
-            k += 1
+    def envelope(self, k: np.ndarray) -> np.ndarray:
+        """The proposal's unnormalised weight g at the offsets ``k``."""
+        squared = (k - self.delta) ** 2
+        return 1.0 / np.where((k == self.low) | (k == self.low + 1), squared, squared - 0.25)
 
-    def _window_pair(self, half: int) -> tuple:
-        """F at the outcomes from x0 - W - 1 on, and from 2^m - x0 - W - 1 on."""
-        phi, size, x, peak = self._peak
-        window = np.arange(peak - half, peak + half + 1, dtype=float)
-        # one kernel pass: outcome 0, the window, then its mirror
-        terms = _qpe_kernel(phi, size, np.concatenate(([0.0], window, size - window)))
-        p0, probs, mirror = terms[0], terms[1 : window.size + 1], terms[window.size + 1 :]
-        probs = (probs + mirror) * 0.5
-        left = np.cumsum(np.concatenate(([_left_tail(x, peak - half - 1, size, p0)], probs)))
-        return (left, peak - half - 1), (1.0 + p0 - left[::-1], size - peak - half - 1)
+    def outcomes(self, k: np.ndarray, sign: np.ndarray, dist: np.ndarray | None = None) -> tuple:
+        """The outcomes that the window offsets ``k`` name from the +phi peak
+        where ``sign`` < 1/2, and from the -phi peak elsewhere; their bound
+        s (g(k) + g(k')) / 8, k' the offset from the other peak; and P(b) in
+        closed form, or ``dist[b]`` when given."""
+        mirror = (-2 * self.peak - k - self.first) % self.size + self.first
+        b = np.where(sign < 0.5, self.peak + k, -self.peak - k) % self.size
+        bound = self.s / 8.0 * (self.envelope(k) + self.envelope(mirror))
+        if dist is not None:
+            return b, bound, dist[b]
 
-    def locate(self, v: np.ndarray) -> np.ndarray:
-        b = np.full(v.shape, -1)
-        left = np.arange(v.size)  # the draws no tier has placed
-        for pair in self._tiers():
-            u = v[left]
-            placed = np.zeros(u.shape, dtype=bool)
-            for edges, first in pair:
-                j = np.clip(edges.searchsorted(u, side="right"), 1, edges.size - 1)
-                inside = (edges[j - 1] + self._margin <= u) & (u < edges[j] - self._margin)
-                b[left[inside]] = first + j[inside]
-                placed |= inside
-            left = left[~placed]
-            if not left.size:
-                return b
-        # in a tail, between the windows, or near an edge
-        b[left] = super().locate(v[left])
-        return b
+        def kernel(offsets):  # K(delta - offset) / s
+            return (self.size * np.sin(np.pi * (offsets - self.delta) / self.size)) ** -2.0
 
+        return b, bound, self.s / 2.0 * (kernel(k) + kernel(mirror))
 
-def _left_tail(x: float, last: int, size: int, p0: float) -> float:
-    """The effective counting law's mass on outcomes 0..last, by Euler-Maclaurin.
+    def draw(self, draws: int, rng: np.random.Generator, dist: np.ndarray | None = None) -> np.ndarray:
+        """``draws`` outcomes, accepted by the closed-form law or by ``dist``.
 
-    Outcome 0 carries the kernel f(t) = s / (2^m sin(pi (x - t) / 2^m))^2 at
-    0, and b with its mirror half of f(b) + f(-b): the mass is
-    (f(0) + sum_{|t| <= last} f(t)) / 2. With r = pi / 2^m, c = cot(r (x - t))
-    and q = 1 + c^2, f = s r^2 q / pi^2 integrates to s r c / pi^2,
-    f' = 2 s r^3 c q / pi^2 and f''' = 8 s r^5 c q (3q - 1) / pi^2. As f'''' > 0,
-    the remainder after the f' / 12 and -f''' / 720 end terms is at most
-    2 zeta(4) / (2 pi)^4 of the rise of f''', about 3.4e-3 s / (x0 - last - 1)^5.
-    """
-    r = math.pi / size
-    total = 0.0  # times s r / pi^2: the integral and end corrections, then f at both ends
-    for t, sign in ((last, 1.0), (-last, -1.0)):
-        c = 1.0 / math.tan(r * (x - t))
-        q = 1.0 + c * c
-        total += sign * c * (1.0 + r * r * q / 6.0 - r**4 * q * (3 * q - 1) / 90.0) + r * q / 2.0
-    s = math.sin(math.pi * (x - round(x))) ** 2
-    return (p0 + s * r / math.pi**2 * total) / 2.0
+        Each round draws a sign, a class, a tail and an acceptance uniform
+        for each of 4 r + 4 proposals, r the outcomes still missing, as one
+        ``rng.random`` block, and keeps the first r accepted.
+        """
+        kept, missing = [], draws
+        while missing:
+            sign, pick, tail, u = rng.random((4, 4 * missing + 4))
+            k = self.offsets(pick, tail)
+            inside = np.abs(k - self.delta) <= self.size / 2
+            b, bound, target = self.outcomes(k[inside].astype(np.int64), sign[inside], dist)
+            kept.append(b[u[inside] * bound < target][:missing])
+            missing -= kept[-1].size
+        return np.concatenate(kept)
 
 
 def _dense_counting_distribution(oracle: OracleCircuit, m: int) -> np.ndarray:
@@ -823,9 +816,10 @@ def _median_count(
     backend: str,
     samples: int,
 ) -> tuple[int, CountEstimate]:
-    est = quantum_counting(oracle, m, rng, backend)
-    draws = est.law.locate(rng.random(samples))
-    rounded = sorted(estimate_from_outcome(int(b), m, est.n_space)[2] for b in draws)
+    """The rounded median of ``samples`` counts, and the estimate of one more
+    drawn before them, all as one batch."""
+    est, outcomes = _count(oracle, m, rng, backend, 1 + samples)
+    rounded = sorted(estimate_from_outcome(b, m, est.n_space)[2] for b in outcomes[1:].tolist())
     return rounded[len(rounded) // 2], est
 
 

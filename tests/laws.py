@@ -95,16 +95,19 @@ def qes_law(n_space: int, marked: int, budget: int) -> np.ndarray:
 
 
 def counting_law(n_space: int, marked: int, m: int) -> np.ndarray:
-    """P(b) of an m-qubit count: the even mixture of the kernels at +-phi.
+    """P(b) of an m-qubit count: ``two_kernel_law`` at x = 2^m phi, phi = theta / 2pi."""
+    phi = math.asin(math.sqrt(marked / n_space)) / math.pi
+    return two_kernel_law(phi * (1 << m), m)
 
-    With x = 2^m phi, the +phi kernel is
-    sin^2(pi (x - b)) / (2^m sin(pi (x - b) / 2^m))^2, and sin^2(pi (x - b))
-    is taken as sin^2(pi (x - round x)), equal for every integer b. Within
-    1e-12 of an integer, x is a point mass.
+
+def two_kernel_law(x: float, m: int) -> np.ndarray:
+    """P(b) of m-qubit phase estimation: the even mixture of the kernels at +-x / 2^m.
+
+    The +x kernel is sin^2(pi (x - b)) / (2^m sin(pi (x - b) / 2^m))^2, and
+    sin^2(pi (x - b)) is taken as sin^2(pi (x - round x)), equal for every
+    integer b. Within 1e-12 of an integer, x is a point mass.
     """
     size = 1 << m
-    phi = math.asin(math.sqrt(marked / n_space)) / math.pi
-    x = phi * size
     b = np.arange(size)
     if abs(x - round(x)) < 1e-12:
         law = np.zeros(size)

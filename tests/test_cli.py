@@ -128,7 +128,7 @@ def test_count_bound_covers_a_misrounded_count(capsys):
     # ids 5, 6 and 7 have return above 0.18; at the paper's width (4 qubits
     # at N=8) these seeds round the count to 2, and the reported bound of the
     # register, 2pi/16 sqrt(8*2) + pi^2 8/256, still reaches the true 3
-    for seed in ("2", "3", "4", "5"):
+    for seed in ("2", "3", "4", "6"):
         code, out, _ = run_cli(
             capsys, "count", "--input", FIXTURE,
             "--return-min", "0.18", "--mode", "exact", "--seed", seed,

@@ -1,6 +1,7 @@
 """Source hygiene: every name a package or test module imports is used in that
-module, the package imports nothing its declared dependencies lack, and it
-draws random numbers only through ``numpy.random.Generator``'s methods."""
+module, every private module-level name of the package is read somewhere in
+it, the package imports nothing its declared dependencies lack, and it draws
+random numbers only through ``numpy.random.Generator``'s methods."""
 
 import ast
 import re
@@ -39,6 +40,51 @@ def test_every_name_a_test_module_imports_is_used():
     modules = sorted(TESTS.glob("*.py"))
     assert len(modules) >= 10
     assert not unused_by_module(modules)
+
+
+def private_definitions(source: str) -> set[str]:
+    """Module-level functions, classes and constants named with one leading underscore."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def unread_privates(sources: dict[str, str]) -> set[str]:
+    """``module.name`` of each private definition that no module reads, as a name or an attribute."""
+    read = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return {
+        f"{module}.{name}"
+        for module, source in sources.items()
+        for name in private_definitions(source) - read
+    }
+
+
+def test_the_private_rule_finds_unread_definitions():
+    sources = {
+        "a": "_LIMIT = 3\n_USED = 4\ndef _helper(): return _USED\nclass _Gone: pass\n"
+        "def public(): return _helper()\n__all__ = ['public']\n",
+        "b": "_ANNOTATED: int = 2\n_STORED = 1\n_STORED = 2\ndef f(a): return a._LIMIT\n",
+    }
+    assert unread_privates(sources) == {"a._Gone", "b._ANNOTATED", "b._STORED"}
+
+
+def test_every_private_definition_in_the_package_is_read():
+    # a helper, class or constant that its last caller no longer names is a
+    # leftover of a deletion
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert len(sources) >= 7
+    assert unread_privates(sources) == set()
 
 
 def imported_roots(source: str) -> set[str]:

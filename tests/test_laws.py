@@ -217,6 +217,36 @@ def test_counting_law_is_qslices(n_space, marked, m):
     np.testing.assert_allclose(counting_law(n_space, marked, m), want, rtol=0, atol=1e-15)
 
 
+# Fixed before the first run: the (N, M, m) cases, among them (2, 1, 1), whose
+# peak lies half way between two outcomes; COUNT_DRAWS ``quantum_counting``
+# calls per case and bit generator; each case's seed (the same for every bit
+# generator); and the binning of ``binned``.
+COUNT_CASES = [(2, 1, 1), (16, 3, 6), (64, 5, 8), (256, 100, 9)]
+COUNT_DRAWS = 2000
+
+
+@pytest.mark.parametrize(
+    "bit_generator, n_space, marked, m",
+    [
+        pytest.param(bits, *case, id=f"{bits.__name__}-{'-'.join(map(str, case))}")
+        for bits in (np.random.PCG64, np.random.MT19937, np.random.Philox)
+        for case in COUNT_CASES
+    ],
+)
+def test_seeded_counts_follow_the_counting_law(bit_generator, n_space, marked, m):
+    oracle = direct_marking_oracle(n_space.bit_length() - 1, list(range(marked)))
+    rng = np.random.Generator(bit_generator([2002, n_space, marked, m]))
+    law = counting_law(n_space, marked, m)
+    drawn = [search.quantum_counting(oracle, m, rng).b for _ in range(COUNT_DRAWS)]
+    observed = np.bincount(drawn, minlength=law.size)
+    assert not observed[law == 0.0].any()
+    expected, counts = binned(COUNT_DRAWS * law, observed)
+    assert expected.size >= 2
+    statistic = float(((counts - expected) ** 2 / expected).sum())
+    p_value = chi_square_sf(statistic, expected.size - 1)
+    assert p_value >= 0.01, (n_space, marked, m, statistic, expected.size)
+
+
 # Fixed before the first run: the (N, M, m) cases, chosen so that the median
 # takes two values each expecting at least 5 runs; the runs per case; each
 # case's seed; and the binning of ``binned``.

@@ -1,5 +1,7 @@
 import gc
+import itertools
 import math
+import time
 import tracemalloc
 import warnings
 import weakref
@@ -8,6 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from laws import counting_law, two_kernel_law
 
 from qslice import (
     ANGLE_BITS,
@@ -229,12 +233,21 @@ def test_t_for_resolution():
 
 @pytest.mark.parametrize("backend", ["dense", "effective"])
 def test_counting_register_above_the_cap_is_refused_before_allocating(backend):
+    # a dense count is refused; an effective count draws with no 2^m array,
+    # and reading its law is refused
     oracle = direct_marking_oracle(3, {1})
     oracle.marked_set  # built outside the traced window
     tracemalloc.start()
     try:
-        with pytest.raises(sim.CapacityError, match="dense cap"):
-            quantum_counting(oracle, sim.DENSE_QUBIT_CAP + 1, np.random.default_rng(0), backend)
+        if backend == "dense":
+            with pytest.raises(sim.CapacityError, match="dense cap"):
+                quantum_counting(oracle, sim.DENSE_QUBIT_CAP + 1, np.random.default_rng(0), backend)
+        else:
+            est = quantum_counting(oracle, sim.DENSE_QUBIT_CAP + 1, np.random.default_rng(0), backend)
+            assert est.m_rounded == 1
+            for read in ("distribution", "cdf"):
+                with pytest.raises(sim.CapacityError, match="dense cap"):
+                    getattr(est, read)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -348,99 +361,108 @@ def test_counting_distribution_is_mirror_symmetric_and_normalised():
         assert abs(dist.sum() - 1.0) < 1e-12, (size, marked_count, m)
 
 
-@pytest.mark.parametrize("backend, n, m", [("dense", 3, 5), ("effective", 6, 11)])
-def test_counting_draws_are_what_choice_draws(backend, n, m, monkeypatch):
+def sampler_cases():
+    """(x, m, want) for the counting sampler off a point mass.
+
+    Every N from 2 to 64 and m from 1 to 10 at M = 1, 2, N/4, N/2 - 1 and
+    N - 1, with ``counting_law`` as the law; M = N/2 at m = 1, where
+    delta = +1/2; and x = 1.5, 2.5 and 2^m - 2.5, where delta = -1/2, +1/2
+    and -1/2, with ``two_kernel_law``.
+    """
+    cases = []
+    for n, m in itertools.product(range(1, 7), range(1, 11)):
+        size = 1 << n
+        for marked in sorted({1, 2, size // 4, size // 2 - 1, size - 1} & set(range(1, size + 1))):
+            cases.append((size, marked, m))
+        if m == 1:
+            cases.append((size, size // 2, m))
+    for size, marked, m in cases:
+        x = grover_angle(size, marked) / (2 * math.pi) * (1 << m)
+        if abs(x - round(x)) >= 1e-12:
+            yield x, m, counting_law(size, marked, m)
+    for m in (2, 3, 5, 9):
+        for x in (1.5, 2.5, (1 << m) - 2.5):
+            yield x, m, two_kernel_law(x, m)
+
+
+def sampler_law(x, m, dist=None):
+    """The exact law of ``_CountSampler(x, 2^m).draw``, and the share of proposals it accepts.
+
+    Each window offset k is proposed with probability g(k) / total from
+    either peak, each taken with probability 1/2, and its outcome is then
+    accepted with probability P(b) / bound(b).
+    """
+    size = 1 << m
+    sampler = search._CountSampler(x, size)
+    k = np.arange(sampler.first, sampler.first + size)
+    law = np.zeros(size)
+    for sign in (0.0, 0.5):  # the +phi peak, then the -phi peak
+        b, bound, target = sampler.outcomes(k, np.full(size, sign), dist)
+        assert (target < bound).all(), (x, m)
+        np.add.at(law, b, 0.5 * sampler.envelope(k) / sampler.total * target / bound)
+    return law / law.sum(), law.sum()
+
+
+def test_count_sampler_law_is_the_counting_law():
+    # accepted by the closed form, and as the dense backend accepts, by a
+    # law array's entries
+    cases = 0
+    for x, m, want in sampler_cases():
+        law, accepted = sampler_law(x, m)
+        error = float(np.abs(law - want).max())
+        assert error <= 1e-12, (x, m, error)
+        assert 0.4 - 1e-12 <= accepted <= 4.0 / math.pi**2 + 1e-12, (x, m, accepted)
+        assert float(np.abs(sampler_law(x, m, want)[0] - want).max()) <= 1e-12, (x, m)
+        cases += 1
+    assert cases >= 200
+
+
+@pytest.mark.parametrize("x, m", [(0.5, 1), (1.5, 3), (2.5, 4), (7.8, 6), (1000.3, 12), (3.05, 9)])
+def test_count_proposals_take_each_offset_with_its_envelope_weight(x, m):
+    # the class a pick uniform selects, and the tail distance a tail uniform
+    # rounds to, change exactly where the envelope's weights put them
+    sampler = search._CountSampler(x, 1 << m)
+    low, total = sampler.low, sampler.total
+    edges = np.concatenate(([0.0], sampler.cuts / total, [1.0]))
+    central = sampler.envelope(np.array([low, low + 1])) / total
+    np.testing.assert_allclose(np.diff(edges[:3]), central, rtol=1e-12)
+    for c, k in enumerate((low, low + 1)):
+        inside = np.array([edges[c] + 1e-12, edges[c + 1] - 1e-12])
+        assert sampler.offsets(inside, np.zeros(2)).tolist() == [k, k]
+    j = np.arange(1, 400)
+    for which, d, offset in ((2, sampler.far, low + 1 + j), (3, sampler.near, low - j)):
+        pick = np.full(j.size, (edges[which] + edges[which + 1]) / 2)
+        # a tail uniform from 1 - (d + 1/2) / (d + j - 1/2) on proposes j or more past the pair
+        start = 1.0 - (d + 0.5) / (d + j - 0.5)
+        assert (sampler.offsets(pick, start + 1e-12) == offset).all()
+        assert (sampler.offsets(pick[1:], start[1:] - 1e-12) == offset[:-1]).all()
+        share = (edges[which + 1] - edges[which]) * np.diff(np.append(start, 1.0 - (d + 0.5) / (d + j[-1] + 0.5)))
+        np.testing.assert_allclose(share, sampler.envelope(offset) / total, rtol=1e-9)
+
+
+@st.composite
+def counting_oracles(draw):
+    n = draw(st.integers(1, 4))
     size = 1 << n
-    drawn = []
-    real = search.estimate_from_outcome
-
-    def recording(b, *args):
-        drawn.append(int(b))
-        return real(b, *args)
-
-    monkeypatch.setattr(search, "estimate_from_outcome", recording)
-    samples = search.ENUMERATION_SAMPLES
-    for marked_count in (0, 1, size // 4, size // 2, 3 * size // 4 - 1):
-        marked = np.random.default_rng(marked_count).choice(size, marked_count, replace=False)
-        oracle = direct_marking_oracle(n, marked.tolist())
-        for seed in range(8):
-            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-            drawn.clear()
-            _, est = search._median_count(oracle, m, ours, backend, samples)
-            p = est.distribution / est.distribution.sum()
-            want_b = int(theirs.choice(p.size, p=p))
-            want = theirs.choice(p.size, size=samples, p=p).tolist()
-            assert est.b == want_b, (marked_count, seed)
-            assert drawn == [want_b] + want, (marked_count, seed)
-            assert ours.bit_generator.state == theirs.bit_generator.state
+    count = draw(st.one_of(st.sampled_from([0, 1, size // 2, size]), st.integers(0, size)))
+    marked = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).choice(size, size=count, replace=False)
+    return n, marked.tolist(), draw(st.integers(1, 7))
 
 
-def reference_cdf(n_space, marked_count, m):
-    """The CDF ``rng.choice`` searches for the full effective counting law."""
-    probs = counting_distribution(n_space, marked_count, m)
-    cdf = (probs / probs.sum()).cumsum()
-    cdf /= cdf[-1]
-    return cdf
-
-
-def placed_share(law, v, pairs):
-    """The share of ``v`` an effective counting law places in the window ``pairs``."""
-    placed = np.zeros(v.shape, dtype=bool)
-    for edges, _ in (window for pair in pairs for window in pair):
-        j = np.clip(edges.searchsorted(v, side="right"), 1, edges.size - 1)
-        placed |= (edges[j - 1] + law._margin <= v) & (v < edges[j] - law._margin)
-    return float(placed.mean())
-
-
-# every N from 2^6 to 2^13 at enumeration's width, M = 0, 1, 2, 3, N/4,
-# N/2 - 1, N/2, N/2 + 1, N - 3, N - 1 and N, and four cases whose window
-# half-width W is 126, 127, 128 and 129, on both sides of the least W used
-PEAK_WINDOW_CASES = [
-    (1 << n, k, m_exact(1 << n) + search.ENUMERATION_EXTRA_BITS)
-    for n in range(6, 14)
-    for k in sorted({0, 1, 2, 3, 1 << (n - 2), (1 << (n - 1)) - 1, 1 << (n - 1),
-                     (1 << (n - 1)) + 1, (1 << n) - 3, (1 << n) - 1, 1 << n})
-] + [(128, 63, 9), (512, 255, 9), (128, 19, 10), (128, 5, 11)]
-
-
-def test_peak_windows_locate_every_uniform_where_the_full_cdf_does():
-    gen = np.random.default_rng(20020505)
-    seeded_uniforms = 0
-    widths = {}
-    for size, marked_count, m in PEAK_WINDOW_CASES:
-        law = search._PeakWindows(size, marked_count, m)
-        cdf = reference_cdf(size, marked_count, m)
-        seeded = gen.random(11_000)
-        seeded_uniforms += seeded.size
-        # the seeded uniforms first, building the tiers as they are reached
-        got = law.locate(seeded)
-        assert (got == cdf.searchsorted(seeded, side="right")).all(), (size, marked_count, m)
-        probes = [[0.0, 1e-300, 0.25, 0.5, 0.75, np.nextafter(1.0, 0.0)]]
-        pairs = list(law._tiers())  # every tier, narrowest first
-        if pairs:
-            if pairs[0][0][0].size > 2:  # not a point mass
-                widths[size, marked_count, m] = [edges.size // 2 - 1 for (edges, _), _ in pairs]
-            assert placed_share(law, seeded, pairs) > 0.99, (size, marked_count, m)
-            edges = np.concatenate([edges for pair in pairs for edges, _ in pair])
-            probes += [edges + d for d in (-1e-13, -1e-16, 0.0, 1e-16, 1e-13)]
-            # the full CDF's own values within 300 outcomes of both peaks, and
-            # the doubles either side of each
-            peak = int(np.argmax(counting_distribution(size, marked_count, m)))
-            peaks = np.concatenate((np.arange(-300, 300) + peak, np.arange(-300, 300) - peak))
-            near = cdf[peaks % cdf.size]
-            probes += [near, np.nextafter(near, 0.0), np.nextafter(near, 1.0)]
-        v = np.concatenate(probes)
-        v = v[(v >= 0.0) & (v < 1.0)]
-        # a fresh law builds its tiers for these probes alone
-        for located in (law, search._PeakWindows(size, marked_count, m)):
-            got = located.locate(v)
-            want = cdf.searchsorted(v, side="right")
-            assert (got == want).all(), (size, marked_count, m, v[got != want][:5])
-    assert seeded_uniforms >= 10**6
-    # narrow first: W = 128, then the widest W that fits, up to 4096
-    assert widths[128, 19, 10] == [128] and widths[128, 5, 11] == [128, 129]
-    assert widths[4096, 1024, 17] == [128, 4096]
-    assert (128, 63, 9) not in widths and (512, 255, 9) not in widths
+@given(counting_oracles(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_dense_and_effective_counts_draw_alike(case, seed):
+    # the same proposals from the same uniforms, each accepted by its own
+    # backend's law: equal draws but for a uniform within rounding of an edge
+    n, marked, m = case
+    oracle = direct_marking_oracle(n, marked)
+    drawn = {}
+    for backend in ("dense", "effective"):
+        rng = np.random.default_rng(seed)
+        median, est = search._median_count(oracle, m, rng, backend, search.ENUMERATION_SAMPLES)
+        _, more = search._count(oracle, m, rng, backend, 16)
+        drawn[backend] = (median, est.b, more.tolist(), rng.bit_generator.state)
+    assert drawn["dense"] == drawn["effective"], (n, marked, m)
 
 
 @pytest.mark.parametrize(
@@ -471,47 +493,6 @@ def test_counts_placed_in_the_peak_windows_build_no_full_law(monkeypatch):
             assert median == marked_count == est.m_rounded
     with pytest.raises(AssertionError, match="full counting law"):
         est.distribution
-
-
-def test_peak_windows_leave_under_1e4_of_draws_to_the_full_law_at_4096_rows():
-    m = m_exact(4096) + search.ENUMERATION_EXTRA_BITS
-    for marked_count in range(1, 41):
-        law = search._PeakWindows(4096, marked_count, m)
-        (edges, _), _ = list(law._tiers())[-1]  # the widest pair
-        window_mass = edges[-1] - edges[0]  # the mirrored window's too
-        margin_bands = 4 * law._margin * edges.size
-        assert 1.0 - 2.0 * window_mass + margin_bands <= 1e-4, marked_count
-
-
-def test_counts_placed_in_the_narrow_windows_build_no_wide_pair(monkeypatch):
-    kernel_sizes = []
-    real = search._qpe_kernel
-
-    def recorded(phi, size, dist):
-        kernel_sizes.append(dist.size)
-        return real(phi, size, dist)
-
-    monkeypatch.setattr(search, "_qpe_kernel", recorded)
-    m = m_exact(4096) + search.ENUMERATION_EXTRA_BITS
-    samples = search.ENUMERATION_SAMPLES
-    narrow_pass = 1 + 2 * (2 * 128 + 1)  # outcome 0, the W = 128 window and its mirror
-    narrow_counts = 0
-    for marked_count in (1, 2, 40, 1000, 2000):
-        oracle = direct_marking_oracle(12, list(range(marked_count)))
-        narrow = next(search._PeakWindows(4096, marked_count, m)._tiers())
-        for seed in range(20):
-            # the count's one uniform and its median's, as the count draws them
-            v = np.random.default_rng([marked_count, seed]).random(1 + samples)
-            kernel_sizes.clear()
-            rng = np.random.default_rng([marked_count, seed])
-            median, est = search._median_count(oracle, m, rng, "effective", samples)
-            assert median == marked_count
-            if placed_share(est.law, v, [narrow]) == 1.0:
-                narrow_counts += 1
-                assert kernel_sizes == [narrow_pass], (marked_count, seed)
-            else:  # the wide pair is built next, for the uniforms the narrow one left
-                assert kernel_sizes[0] == narrow_pass < kernel_sizes[1], (marked_count, seed)
-    assert narrow_counts >= 90
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +535,19 @@ def test_enumerate_resolution_critical_counts(seed):
         direct_marking_oracle(3, {0, 5, 6}), np.random.default_rng(seed)
     )
     assert result.indices == frozenset({0, 5, 6})
+
+
+def test_enumeration_above_the_dense_register_cap_collects_the_mask():
+    # 22 index bits count on m_exact + 4 = 27 register qubits, one above the
+    # dense cap: the effective count draws with no law array, so it runs
+    values = np.random.default_rng(22).integers(0, 1 << 12, size=1 << 22)
+    oracle = single_list_oracle(ValueTable(12, values), (1 << 12) - 65)  # about 1 in 64
+    start = time.perf_counter()
+    result = enumerate_solutions(oracle, np.random.default_rng(3))
+    elapsed = time.perf_counter() - start
+    assert result.count_estimate.m == sim.DENSE_QUBIT_CAP + 1
+    assert result.indices == frozenset(np.flatnonzero(oracle.mask).tolist())
+    assert elapsed <= 3.0
 
 
 def test_enumerate_overcount_raises_search_disagreement(monkeypatch):
