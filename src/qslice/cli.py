@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 from typing import Sequence
 
 import numpy as np
@@ -123,7 +124,12 @@ def _slice(args: argparse.Namespace, table: pf.FrontierTable, rng: np.random.Gen
 
 
 def _max_sharpe(args: argparse.Namespace, table: pf.FrontierTable, rng: np.random.Generator):
-    result = pf.max_sharpe(table, args.rf, rng, args.repeat, args.backend)
+    # a clamped Sharpe ratio warns: one plain stderr line, with no source path
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = pf.max_sharpe(table, args.rf, rng, args.repeat, args.backend)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     return result, {
         "id": result.id,
         "sharpe_raw": result.sharpe_raw,

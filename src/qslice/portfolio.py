@@ -165,7 +165,8 @@ def _read_fast(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """
     if '"' in text:
         return None
-    body = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    lines = text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+    body = lines.split("\n")
     if not _is_header(body.pop(0).split(",")):  # pop: no copy of a million-line list
         return None
     if not any(map(str.strip, body)):  # numpy warns on input with no data
@@ -259,8 +260,7 @@ def sharpe_values(table: FrontierTable, risk_free_rate: float) -> ValueTable:
     argmax. Negative Sharpe ratios clamp to zero with a warning; sentinel
     rows map to zero.
     """
-    if not 0.0 <= risk_free_rate < 1.0:
-        raise ValueError("risk_free_rate must lie in [0, 1)")
+    _check_rate(risk_free_rate)
     t = table.t
     bound = (table.expected_returns.max() - risk_free_rate) / table.std_devs.min()
     raw = (table.expected_returns - risk_free_rate) / table.std_devs
@@ -275,6 +275,11 @@ def sharpe_values(table: FrontierTable, risk_free_rate: float) -> ValueTable:
             stacklevel=2,
         )
     return ValueTable(t, _padded(values, table.size))
+
+
+def _check_rate(risk_free_rate: float) -> None:
+    if not 0.0 <= risk_free_rate < 1.0:
+        raise ValueError("risk_free_rate must lie in [0, 1)")
 
 
 @dataclass
@@ -322,9 +327,19 @@ def max_sharpe(
     repetitions: int,
     backend: str = "effective",
 ) -> MaxSharpeResult:
-    """Id of the portfolio with the largest Sharpe ratio, via adaptive search."""
+    """Id of the portfolio with the largest Sharpe ratio, via adaptive search.
+
+    Refused when no return is above the risk-free rate: every ratio would
+    clamp to 0, and the search would return an arbitrary id among the ties.
+    """
     if len(table.ids) == 0:
         raise ValueError("table has no real rows")
+    _check_rate(risk_free_rate)
+    if not (table.expected_returns > risk_free_rate).any():
+        raise ValueError(
+            f"no expected return is above the risk-free rate {risk_free_rate}, "
+            "so every Sharpe ratio is at most 0"
+        )
     values = sharpe_values(table, risk_free_rate)
     result = gas(values, "max", rng, repetitions, backend)
     index = result.index

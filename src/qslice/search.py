@@ -121,11 +121,12 @@ class _Evolution:
 
     The furthest state reached is stepped only when a later j is asked for,
     and each j reached keeps a record, so an oracle takes at most max-j steps
-    in all. Subclasses give the state, ``step(state)``, one Grover iteration,
-    ``_record(state)``, and ``locate(j, v)``: the index whose interval of the
-    class-ordered CDF after j iterations (the marked indices ascending, then
-    the unmarked ones ascending) holds the uniform ``v``, or an array of
-    them for an array of uniforms. Nothing held refers back to the oracle.
+    in all. Subclasses give the state, ``any_marked``, ``step(state)``, one
+    Grover iteration, ``_record(state)``, and ``locate(j, v)``: the index
+    whose interval of the class-ordered CDF after j iterations (the marked
+    indices ascending, then the unmarked ones ascending) holds the uniform
+    ``v``, or an array of them for an array of uniforms. Nothing held refers
+    back to the oracle.
     """
 
     def __init__(self, state):
@@ -168,6 +169,7 @@ class _EffectiveEvolution(_Evolution):
         self._uniform = 1.0 / math.sqrt(effective_index_size(index_bits))
         self.mask = mask
         self.marked = np.flatnonzero(mask)
+        self.any_marked = bool(self.marked.size)
         # the unmarked indices below each marked one: the k-th unmarked index
         # is k plus the marked indices at which this is at most k
         self._below = self.marked - np.arange(self.marked.size)
@@ -255,6 +257,7 @@ class _DenseEvolution(_Evolution):
         self._support = np.flatnonzero(psi.amplitudes)
         self._bra = psi.amplitudes[self._support].conj()
         self._order = np.argsort(~oracle.mask, kind="stable")  # marked, then unmarked
+        self.any_marked = bool(oracle.mask.any())
         self._cdf_iterations = -1
         super().__init__(psi)
 
@@ -390,16 +393,15 @@ def qes(
     if budget <= 0:
         raise ValueError("budget must be positive")
     evolution, mask, ceilings = _evolution(oracle, backend), oracle.mask, _qes_ceilings(n_space)
-    searching = mask.any()
     found, calls, first, size = None, 0, 0, 2 * ceilings.size + 16
     blocks = []  # the started rounds' j and v, per block
     while found is None and calls <= budget:
         j = rng.integers(0, ceilings.take(np.arange(first, first + size), mode="clip"))
         v = rng.random(size)
-        spent = np.cumsum(j)  # the calls after each round of the block
+        spent = j.cumsum()  # the calls after each round of the block
         # round r + 1 starts while the calls up to round r are within budget
         started = min(size, 1 + int(spent.searchsorted(budget - calls, side="right")))
-        for r in range(started if searching else 0):
+        for r in range(started if evolution.any_marked else 0):
             measured = evolution.locate(int(j[r]), float(v[r]))
             if mask[measured]:
                 found, started = measured, r + 1
@@ -939,7 +941,9 @@ def gas(
     improvement. The round loop stops once its cumulative oracle calls
     exceed the per-repetition budget. The best index over ``repetitions``
     independent repetitions is returned; success probability is at least
-    1 - 1/2**repetitions.
+    1 - 1/2**repetitions. The oracles of the 4 thresholds used last are
+    kept, so a threshold met again, such as an earlier repetition's maximum,
+    reuses its oracle and Grover evolution; draws depend on neither.
     """
     if direction not in ("min", "max"):
         raise ValueError("direction must be 'min' or 'max'")
@@ -954,6 +958,7 @@ def gas(
     def better(a: int, b: int) -> bool:
         return a > b if direction == "max" else a < b
 
+    oracle_for = lru_cache(maxsize=4)(lambda threshold: single_list_oracle(values, threshold, op))
     best_index: int | None = None
     total_calls = 0
     logs: list[RepetitionLog] = []
@@ -962,20 +967,16 @@ def gas(
         start = j
         calls = 0
         improvements = 0
-        oracle = None
         while calls <= budget:
-            if oracle is None:  # a new threshold; otherwise its evolution is reused
-                oracle = single_list_oracle(values, values[j], op)
             remaining = budget - calls
             sub_budget = max(1, min(per_qes, math.ceil(remaining)))
-            outcome = qes(oracle, child, sub_budget, backend)
+            outcome = qes(oracle_for(values[j]), child, sub_budget, backend)
             calls += outcome.oracle_calls
             if outcome.found_index is not None and better(
                 values[outcome.found_index], values[j]
             ):
                 j = outcome.found_index
                 improvements += 1
-                oracle = None
         logs.append(RepetitionLog(start, j, calls, improvements))
         total_calls += calls
         if best_index is None or better(values[j], values[best_index]):

@@ -89,6 +89,31 @@ def test_max_sharpe_single_repetition_flagged(capsys):
     assert json.loads(out)["repetitions"] == 1
 
 
+def test_max_sharpe_states_clamped_ratios_in_one_plain_line(capsys):
+    # rf 0.1 is above the returns of ids 0 and 1; each run warns again
+    args = ("max-sharpe", "--input", FIXTURE, "--rf", "0.1", "--seed", "1")
+    for _ in range(2):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 0 and json.loads(out)["id"] == 6
+        assert err == "warning: 2 portfolio(s) had negative Sharpe ratio and were clamped to 0\n"
+
+
+@pytest.mark.parametrize("rf", ["0.3", "0.26"])  # above every return, and equal to the largest
+def test_max_sharpe_with_no_return_above_rf_exits_1_before_searching(capsys, monkeypatch, rf):
+    import qslice.portfolio
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("adaptive search ran")
+
+    monkeypatch.setattr(qslice.portfolio, "gas", no_search)
+    code, out, err = run_cli(capsys, "max-sharpe", "--input", FIXTURE, "--rf", rf)
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: no expected return is above the risk-free rate {rf}, "
+        "so every Sharpe ratio is at most 0\n"
+    )
+
+
 def test_count_vacuous_condition_doubles(capsys):
     code, out, _ = run_cli(
         capsys, "count", "--input", FIXTURE,

@@ -115,20 +115,33 @@ UNBOUNDED_MEMOS = {"cli._parser", "search._qes_ceilings"}
 
 
 def unbounded_memos(source: str) -> set[str]:
-    """Functions memoised by ``functools.cache``, or by ``lru_cache`` without an integer maxsize."""
-    found = set()
-    for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, ast.FunctionDef):
-            continue
-        for decorator in node.decorator_list:
-            call = decorator if isinstance(decorator, ast.Call) else None
-            name = ast.unparse(call.func if call else decorator).rsplit(".", 1)[-1]
-            if call is not None:
-                sizes = [k.value for k in call.keywords if k.arg == "maxsize"] + call.args[:1]
-                bounded = any(isinstance(s, ast.Constant) and type(s.value) is int for s in sizes)
-            if name == "cache" or name == "lru_cache" and (call is None or not bounded):
-                found.add(node.name)
-    return found
+    """Memos made by ``functools.cache``, or by ``lru_cache`` without an integer maxsize.
+
+    A decorator names the function it decorates; a call form, such as
+    ``lru_cache(None)(f)`` or ``cache(f)``, the name it is assigned to, or
+    else its line.
+    """
+    tree = ast.parse(source)
+    labels, bare = {}, []  # each node of a decorator or an assigned value, with its memo's name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            labels.update((n, node.name) for d in node.decorator_list for n in ast.walk(d))
+            bare += [d for d in node.decorator_list if not isinstance(d, ast.Call)]
+        elif isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            labels.update((n, node.targets[0].id) for n in ast.walk(node.value))
+
+    def named(func: ast.expr) -> str | None:
+        return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+    def unbounded(node: ast.expr) -> bool:
+        if not isinstance(node, ast.Call):  # a bare decorator
+            return named(node) in ("cache", "lru_cache")
+        sizes = [k.value for k in node.keywords if k.arg == "maxsize"] + node.args[:1]
+        bounded = any(isinstance(s, ast.Constant) and type(s.value) is int for s in sizes)
+        return named(node.func) == "cache" or named(node.func) == "lru_cache" and not bounded
+
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    return {labels.get(node, f"line {node.lineno}") for node in calls + bare if unbounded(node)}
 
 
 def test_the_memo_rule_finds_unbounded_caches():
@@ -137,8 +150,13 @@ def test_the_memo_rule_finds_unbounded_caches():
         "@lru_cache(maxsize=None)\ndef c(): pass\n@functools.lru_cache(None)\ndef d(): pass\n"
         "@lru_cache\ndef e(): pass\n@lru_cache(maxsize=8)\ndef f(): pass\n"
         "@functools.lru_cache(64)\ndef g(): pass\n@property\ndef h(): pass\n"
+        # call forms: unbounded, then bounded
+        "i = lru_cache(None)(g)\nj = functools.cache(g)\nk = lru_cache(g)\nl = lru_cache()(g)\n"
+        "def m():\n    n = lru_cache(maxsize=None)(lambda t: t)\n    return cache(n)\n"
+        "o = lru_cache(maxsize=4)(lambda t: g(t))\np = functools.lru_cache(16)(g)\n"
     )
-    assert unbounded_memos(source) == {"a", "b", "c", "d", "e"}
+    want = {"a", "b", "c", "d", "e", "i", "j", "k", "l", "n", "line 23"}
+    assert unbounded_memos(source) == want
 
 
 def test_every_memo_in_the_package_names_a_bound():

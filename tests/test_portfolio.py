@@ -297,6 +297,21 @@ def test_lone_carriage_returns_are_read_in_one_pass_as_newlines():
             assert column.tobytes() == expected.tobytes() and column.dtype == expected.dtype
 
 
+LINE_ENDINGS = {"lf": ("\n",), "crlf": ("\r\n",), "cr": ("\r",), "mixed": ("\r\n", "\n", "\r", "\n")}
+
+
+@pytest.mark.parametrize("endings", LINE_ENDINGS.values(), ids=LINE_ENDINGS)
+def test_line_endings_give_equal_columns(endings):
+    # the one-pass reader, which skips its line-ending rewrite on text with no
+    # "\r", reads what the csv module reads row by row
+    rows = ["id,expected_return,std_dev", "3,0.25,0.5", "", "1,0.125,0.75", "2,0.5,0.25", "7,0,0.5"]
+    text = "".join(row + endings[k % len(endings)] for k, row in enumerate(rows))
+    got = portfolio._read_fast(text)
+    assert got is not None
+    for column, expected in zip(got, portfolio._read_rows(text), strict=True):
+        assert column.tobytes() == expected.tobytes() and column.dtype == expected.dtype
+
+
 def test_a_quoted_carriage_return_is_read_row_by_row():
     text = 'id,expected_return,std_dev\r0,"0.5\r",0.25\r1,0.125,0.5\r'
     assert portfolio._read_fast(text) is None

@@ -1253,6 +1253,56 @@ def test_gas_spawns_each_child_as_its_repetition_starts():
         assert rng.bit_generator.seed_seq.n_children_spawned == 4
 
 
+def watched_gas(monkeypatch):
+    """Patch the oracle builder and the exponential search that ``gas`` calls.
+
+    Returns the threshold and a weak reference of each oracle built, in
+    order, and for each ``qes`` call the threshold of its oracle and the
+    number of built oracles still alive.
+    """
+    built, visited, alive = [], [], []
+    make, search_once = search.single_list_oracle, search.qes
+
+    def build(*args):  # positional, as gas calls it
+        oracle = make(*args)
+        built.append((args[1], weakref.ref(oracle)))
+        return oracle
+
+    def searched(oracle, *args):
+        visited.append(oracle.reference_basis >> oracle.layout["threshold"][0])
+        alive.append(sum(ref() is not None for _, ref in built))
+        return search_once(oracle, *args)
+
+    monkeypatch.setattr(search, "single_list_oracle", build)
+    monkeypatch.setattr(search, "qes", searched)
+    return built, visited, alive
+
+
+@pytest.mark.parametrize("backend", ["dense", "effective"])
+def test_gas_builds_one_oracle_per_threshold_it_visits(monkeypatch, backend):
+    # four distinct values, padded with 0: a start on padding searches
+    # threshold 0, and each repetition that finds the maximum ends on its own
+    table = ValueTable(2, (1, 3, 2, 1, 0, 0, 0, 0))
+    built, visited, _ = watched_gas(monkeypatch)
+    result = gas(table, "max", np.random.default_rng(3), 6, backend)
+    assert result.value == 3
+    assert sorted(threshold for threshold, _ in built) == sorted(set(visited))
+    # rebuilt at each repetition's start and improvement, they would number more
+    assert len(built) < sum(1 + r.improvements for r in result.repetitions)
+
+
+@pytest.mark.parametrize("backend", ["dense", "effective"])
+def test_gas_keeps_at_most_four_oracles_alive(monkeypatch, backend):
+    table = ValueTable(5, np.random.default_rng(13).permutation(32))
+    built, _, alive = watched_gas(monkeypatch)
+    gc.disable()  # an evicted oracle is freed by reference counting alone
+    try:
+        gas(table, "max", np.random.default_rng(4), 8, backend)
+    finally:
+        gc.enable()
+    assert len(built) > 4 and max(alive) == 4
+
+
 def test_effective_draw_with_no_unmarked_mass():
     # M = N/4: one iteration rotates all the amplitude onto the marked class
     oracle = direct_marking_oracle(6, range(0, 64, 4))
