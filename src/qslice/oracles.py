@@ -202,12 +202,8 @@ class OracleCircuit:
     @cached_property
     def prep_circuit(self) -> Circuit:
         """Uniform index register, reference basis bits set, |-> oracle qubit."""
-        gates: list[Gate] = [h(q) for q in self.layout.index]
-        gates.extend(x(q) for q in range(self.num_qubits) if self.reference_basis >> q & 1)
-        if self.oracle_qubit is not None:
-            gates.append(x(self.oracle_qubit))
-            gates.append(h(self.oracle_qubit))
-        return Circuit(self.num_qubits, tuple(gates))
+        flipped = tuple(q for q in range(self.num_qubits) if self.reference_basis >> q & 1)
+        return _preparation(self.num_qubits, self.layout.index, self.oracle_qubit, flipped)
 
     @cached_property
     def mask(self) -> np.ndarray:
@@ -418,6 +414,20 @@ def _compile(
             else (qubit_of(c), type(c), len(c.children)) for c in _walk(cond)
         )),
     )
+
+
+@lru_cache(maxsize=16)
+def _preparation(
+    num_qubits: int, index: tuple[int, ...], oracle: int | None, flipped: tuple[int, ...]
+) -> Circuit:
+    """The preparation of |psi>: H on the ``index`` qubits, X on the ``flipped``
+    ones, then |-> on the ``oracle`` qubit. It depends on the layout alone, so
+    the last 16 layouts are kept, each compiled on its first apply; no memo
+    holds a state. The dense backend prepares its sector with it, renumbered."""
+    gates = [h(q) for q in index] + [x(q) for q in flipped]
+    if oracle is not None:
+        gates += [x(oracle), h(oracle)]
+    return Circuit(num_qubits, tuple(gates))
 
 
 @lru_cache(maxsize=64)

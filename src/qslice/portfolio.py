@@ -174,8 +174,7 @@ def _read_fast(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     # numpy strips these around a number, like other whitespace; int() and float() refuse them
     if any(char in text for char in "\x1c\x1d\x1e\x1f"):
         return None
-    limit = csv.field_size_limit()
-    if len(text) > limit and max(map(len, body)) > limit:  # csv refuses such a field
+    if _has_long_line(lines, body, csv.field_size_limit()):  # csv refuses such a field
         return None
     try:
         rows = np.loadtxt(body, delimiter=",", dtype=_ROW, comments=None, ndmin=1)
@@ -187,6 +186,25 @@ def _read_fast(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     if not in_range.all() or (ordered[1:] == ordered[:-1]).any():
         return None
     return ids, rets, stds
+
+
+def _has_long_line(lines: str, body: list[str], limit: int) -> bool:
+    """Whether a line of ``body``, the lines of ``lines`` after the first, is
+    longer than ``limit`` characters.
+
+    A line of more than ``limit`` characters covers a whole aligned window
+    of ceil(limit / 2) characters, so if every such window of ``lines``
+    holds a line end, none is; otherwise each line of ``body`` is measured.
+    """
+    if len(lines) <= limit:
+        return False
+    window = -(-limit // 2)
+    if window > 0 and all(
+        lines.find("\n", start, start + window) >= 0
+        for start in range(0, len(lines) - window + 1, window)
+    ):
+        return False
+    return max(map(len, body)) > limit
 
 
 def _read_rows(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -352,13 +370,12 @@ def max_sharpe(
                 "rerun with a larger --repeat"
             )
         index = int(ties[0])
-    layout = single_list_oracle(values, values[index]).layout.to_dict()
     return MaxSharpeResult(
         id=int(table.ids[index]),
         sharpe_raw=float((table.expected_returns[index] - risk_free_rate) / table.std_devs[index]),
         index=index,
         gas=result,
-        layout=layout,
+        layout=result.layout.to_dict(),
     )
 
 

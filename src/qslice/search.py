@@ -10,6 +10,12 @@ The searches run on either backend:
 * ``effective`` evolves index amplitudes only (exact for these oracles) and
   scales to list sizes far beyond dense reach.
 
+A dense evolution builds only what its table needs: the Grover operator is
+kept per value table and comparison (the last 8, ``_operator_slot``), and
+the preparation circuit per sector layout (the last 16,
+``oracles._preparation``); neither memo holds a state. Per gate and per
+stage facts are kept by ``sim``.
+
 Each oracle memoises its Grover evolution on either backend (``_Evolution``):
 the furthest state G^j|psi> is stepped only when a larger j is asked for,
 and each j reached keeps a record. A measurement locates a uniform v in the
@@ -48,9 +54,11 @@ import numpy as np
 from . import sim
 from .oracles import (
     OracleCircuit,
+    RegisterLayout,
     ValueTable,
     effective_grover_step,
     effective_index_size,
+    _preparation,
     effective_state_new,
     grover_operator,
     single_list_oracle,
@@ -233,8 +241,11 @@ class _DenseEvolution(_Evolution):
     its ``reference_basis`` bit. A threshold register drops out where one
     fused monomial holds the comparator's X chain, which writes it and
     restores it; a register a dense block spans stays. |psi> is prepared on
-    the sector by the prep circuit's gates on the kept qubits, and every
-    gate is still applied. Each overlap is an ``einsum`` over the nonzero
+    the sector by the prep circuit's gates on the kept qubits, renumbered: a
+    circuit built and compiled once per sector layout
+    (``oracles._preparation``) and applied once per evolution, and every
+    gate is still applied. The index marginal is planned once per evolution
+    (``sim._Marginal``). Each overlap is an ``einsum`` over the nonzero
     entries of the sector's |psi>, which unlike ``np.vdot`` calls no BLAS.
     A draw inverts the float CDF of the simulated marginal in class order,
     kept for the last j, so it draws what the effective backend draws but
@@ -248,12 +259,18 @@ class _DenseEvolution(_Evolution):
             slot.append(grover_operator(oracle))
         moving = sum(1 << q for q in (*oracle.layout.index, oracle.oracle_qubit) if q is not None)
         self.operator = sector = sim.Sector(slot[0], held=~moving, values=oracle.reference_basis)
-        # the X gates on fixed qubits set the values the sector holds
-        prep = [g for g in oracle.prep_circuit.gates if not sector.fixed >> g.targets[0] & 1]
-        prep = sim.Circuit(oracle.num_qubits, prep)
-        prep = sim.remap(prep, dict(zip(sector.kept, range(prep.num_qubits))), sector.num_qubits)
-        psi = sim.apply(sim.new_basis_state(sector.num_qubits, 0), prep)
         self.index = tuple(map(sector.position, oracle.layout.index))
+        # the X gates on fixed qubits set the values the sector holds; the rest
+        # are kept qubits of the reference basis
+        flipped = oracle.reference_basis & ~sector.fixed
+        prep = _preparation(
+            sector.num_qubits,
+            self.index,
+            None if oracle.oracle_qubit is None else sector.position(oracle.oracle_qubit),
+            tuple(sector.position(q) for q in range(oracle.num_qubits) if flipped >> q & 1),
+        )
+        psi = sim.apply(sim.new_basis_state(sector.num_qubits, 0), prep)
+        self._marginal = sim._Marginal(sector.num_qubits, self.index)
         self._support = np.flatnonzero(psi.amplitudes)
         self._bra = psi.amplitudes[self._support].conj()
         self._order = np.argsort(~oracle.mask, kind="stable")  # marked, then unmarked
@@ -266,7 +283,7 @@ class _DenseEvolution(_Evolution):
 
     def _record(self, state: sim.StateVector) -> tuple[np.ndarray, complex]:
         overlap = np.einsum("i,i", self._bra, state.amplitudes[self._support])
-        return sim.subregister_distribution(state, self.index), complex(overlap)
+        return self._marginal(state.probabilities()), complex(overlap)
 
     def locate(self, iterations: int, v):
         if iterations != self._cdf_iterations:
@@ -280,6 +297,7 @@ class _DenseEvolution(_Evolution):
 def _operator_slot(key: tuple) -> list:
     """A list, shared on purpose, for the Grover operator of one ``operator_key``; 8 kept."""
     return []
+
 
 
 def _evolution(oracle: OracleCircuit, backend: str = "effective") -> _Evolution:
@@ -915,10 +933,15 @@ class RepetitionLog:
 
 @dataclass
 class GasResult:
+    """The best index found and its value, the calls spent, each repetition's
+    log, and the register layout of the oracles searched, which no threshold
+    changes."""
+
     index: int
     value: int
     oracle_calls: int
     repetitions: list[RepetitionLog] = field(default_factory=list)
+    layout: RegisterLayout | None = None
 
 
 def gas_budget(n_space: int) -> float:
@@ -970,7 +993,8 @@ def gas(
         while calls <= budget:
             remaining = budget - calls
             sub_budget = max(1, min(per_qes, math.ceil(remaining)))
-            outcome = qes(oracle_for(values[j]), child, sub_budget, backend)
+            oracle = oracle_for(values[j])
+            outcome = qes(oracle, child, sub_budget, backend)
             calls += outcome.oracle_calls
             if outcome.found_index is not None and better(
                 values[outcome.found_index], values[j]
@@ -981,4 +1005,4 @@ def gas(
         total_calls += calls
         if best_index is None or better(values[j], values[best_index]):
             best_index = j
-    return GasResult(best_index, values[best_index], total_calls, logs)
+    return GasResult(best_index, values[best_index], total_calls, logs, oracle.layout)

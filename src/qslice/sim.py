@@ -35,15 +35,25 @@ gate-by-gate loop only by the rounding of multiplying the gates' factors
 together first, about 1e-15 on the tested circuits. The last 64 distinct stages
 built, like the last 64 inverse QFTs by register, are kept and shared.
 
+What is fixed is computed once where it is fixed: per gate, its qubits,
+their span and its hash at construction (a pickled gate is rebuilt, and so
+rehashed, where it is loaded), and a phase or unitary gate's inverse on
+first use; per stage, the qubits it moves. A stage on a state of at most
+``_CHUNK`` amplitudes runs as one chunk. ``Circuit.then`` and
+``Circuit.inverse`` do not check gates already checked against the width.
+
 A ``Sector`` restricts a compiled circuit to the basis states in which the
 held qubits (read off a state, or given as bit masks) that no stage moves
-keep their values; ``apply`` runs it on the sector's amplitudes alone.
+keep their values; ``apply`` runs it on the sector's amplitudes alone. A
+stage whose span holds no fixed qubit is only renumbered, sharing its tables.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -95,7 +105,8 @@ class Gate:
         touched = self.targets + self.controls
         if len(set(touched)) != len(touched):
             raise ValueError(f"gate qubits must be distinct, got {touched}")
-        if any(q < 0 for q in touched):
+        lo, hi = min(touched, default=sys.maxsize), max(touched, default=-1)
+        if lo < 0:
             raise ValueError("qubit indices must be non-negative")
         if self.kind in (KIND_X, KIND_H):
             if len(self.targets) != 1:
@@ -113,19 +124,35 @@ class Gate:
                 raise ValueError("PHASE table length must be 2**len(targets)")
             if any(not (0.0 <= t < 1.0) for t in self.turns):
                 raise ValueError("PHASE entries must lie in [0, 1) turns")
+        # fixed per gate, so every compile and memo lookup reads them: the
+        # qubits touched, their span (lo > hi for a global phase) and the hash
+        object.__setattr__(self, "qubits", touched)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        fields = (self.kind, self.targets, self.controls, self.matrix, self.turns)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt, and so rehashed, where it is loaded: a str hashes
+        # differently in each process
+        return Gate, (self.kind, self.targets, self.controls, self.matrix, self.turns)
 
     def inverse(self) -> "Gate":
         if self.kind in (KIND_X, KIND_H):
             return self
+        return self._inverse
+
+    @functools.cached_property
+    def _inverse(self) -> "Gate":
+        """The inverse of a UNITARY or PHASE gate, built on first use and kept."""
         if self.kind == KIND_UNITARY:
             m = np.asarray(self.matrix, dtype=complex).conj().T
             return Gate(KIND_UNITARY, self.targets, self.controls, _as_matrix_tuple(m))
         turns = tuple(_wrap_turn(-t) for t in self.turns)
         return Gate(KIND_PHASE, self.targets, self.controls, turns=turns)
-
-    @property
-    def qubits(self) -> tuple[int, ...]:
-        return self.targets + self.controls
 
 
 def _as_matrix_tuple(m: np.ndarray) -> tuple:
@@ -182,19 +209,26 @@ class Circuit:
             raise ValueError("num_qubits must be >= 1")
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
-            for q in g.qubits:
-                if q >= self.num_qubits:
-                    raise ValueError(
-                        f"gate touches qubit {q} but circuit has {self.num_qubits} qubits"
-                    )
+            if g.hi >= self.num_qubits:
+                raise ValueError(
+                    f"gate touches qubit {g.hi} but circuit has {self.num_qubits} qubits"
+                )
+
+    @classmethod
+    def _checked(cls, num_qubits: int, gates: tuple[Gate, ...]) -> "Circuit":
+        """A circuit of gates already checked against this width, not checked again."""
+        circuit = object.__new__(cls)
+        object.__setattr__(circuit, "num_qubits", num_qubits)
+        object.__setattr__(circuit, "gates", gates)
+        return circuit
 
     def inverse(self) -> "Circuit":
-        return Circuit(self.num_qubits, tuple(g.inverse() for g in reversed(self.gates)))
+        return Circuit._checked(self.num_qubits, tuple(g.inverse() for g in reversed(self.gates)))
 
     def then(self, other: "Circuit") -> "Circuit":
         if other.num_qubits != self.num_qubits:
             raise ValueError("qubit counts differ")
-        return Circuit(self.num_qubits, self.gates + other.gates)
+        return Circuit._checked(self.num_qubits, self.gates + other.gates)
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -409,15 +443,25 @@ class _Stage:
     """Fused gates over the qubits lo..lo+span-1 of an n-qubit state.
 
     The state is viewed as (A, B, C) = (2^(n-lo-span), 2^span, 2^lo), so the
-    stage acts along axis 1 only.
+    stage acts along axis 1 only. A state of at most ``_CHUNK`` amplitudes
+    is rewritten as one chunk.
     """
 
     def __init__(self, num_qubits: int, lo: int, span: int):
         self.lo, self.span = lo, span
         self.shape = (1 << (num_qubits - lo - span), 1 << span, 1 << lo)
+        self.whole = 1 << num_qubits <= _CHUNK
 
     def run(self, amps: np.ndarray, scratch: np.ndarray) -> None:
         """Rewrite ``amps`` in place, using ``scratch`` as workspace."""
+        if self.whole:
+            self._run(amps.reshape(self.shape), scratch[: amps.size].reshape(self.shape))
+            return
+        for chunk, out in self._chunks(amps, scratch):
+            self._run(chunk, out)
+
+    def _run(self, chunk: np.ndarray, out: np.ndarray) -> None:
+        """Rewrite one (rows, 2^span, cols) chunk of the state, with ``out`` as workspace."""
         raise NotImplementedError
 
     def moves(self) -> int:
@@ -426,7 +470,14 @@ class _Stage:
 
     def restrict(self, sector: Sector) -> _Stage:
         """The same stage on the sector's qubits; it must move none the sector fixes."""
-        raise NotImplementedError
+        return self._placed(sector.num_qubits, sector.position(self.lo))
+
+    def _placed(self, num_qubits: int, lo: int) -> _Stage:
+        """This stage at qubit ``lo`` of a ``num_qubits``-qubit state, sharing its tables."""
+        stage = object.__new__(type(self))
+        stage.__dict__.update(self.__dict__)
+        _Stage.__init__(stage, num_qubits, lo, self.span)
+        return stage
 
     def _chunks(self, amps: np.ndarray, scratch: np.ndarray):
         """(view of the state, same-shaped scratch) pairs covering every amplitude."""
@@ -459,15 +510,22 @@ class _Monomial(_Stage):
         self.diagonal = None if np.all(diagonal == 1.0) else diagonal.reshape(-1, 1).copy()
 
     def moves(self):
+        return self._flips << self.lo
+
+    @functools.cached_property
+    def _flips(self) -> int:
+        """Bit mask, over the span, of the qubits the gather moves; computed once."""
         if self.gather is None:
             return 0
-        return int(np.bitwise_or.reduce(self.gather ^ np.arange(self.gather.size))) << self.lo
+        return int(np.bitwise_or.reduce(self.gather ^ np.arange(self.gather.size)))
 
     def restrict(self, sector):
-        # the span's rows inside the sector, ascending: the renumbered span's
-        # rows in order, and the gather maps them among themselves
         size = self.shape[1]
         mask = sector.fixed >> self.lo & (size - 1)
+        if not mask:  # no fixed qubit in the span: renumbered, tables shared
+            return super().restrict(sector)
+        # the span's rows inside the sector, ascending: the renumbered span's
+        # rows in order, and the gather maps them among themselves
         rows = np.flatnonzero((np.arange(size) & mask) == (sector.values >> self.lo & mask))
         gather = rows if self.gather is None else self.gather[rows]
         diagonal = np.ones(rows.size) if self.diagonal is None else self.diagonal[rows]
@@ -480,16 +538,17 @@ class _Monomial(_Stage):
         )
 
     def run(self, amps, scratch):
-        if self.gather is None:
-            if self.diagonal is not None:
-                amps.reshape(self.shape)[...] *= self.diagonal
-            return
-        for chunk, out in self._chunks(amps, scratch):
-            # mode="clip" skips the buffered copy take makes in "raise" mode
-            np.take(chunk, self.gather, axis=1, out=out, mode="clip")
-            if self.diagonal is not None:
-                out *= self.diagonal
-            chunk[...] = out
+        if self.gather is not None:
+            super().run(amps, scratch)
+        elif self.diagonal is not None:
+            amps.reshape(self.shape)[...] *= self.diagonal
+
+    def _run(self, chunk, out):
+        # mode="clip" skips the buffered copy take makes in "raise" mode
+        np.take(chunk, self.gather, axis=1, out=out, mode="clip")
+        if self.diagonal is not None:
+            out *= self.diagonal
+        chunk[...] = out
 
 
 class _Block(_Stage):
@@ -505,24 +564,20 @@ class _Block(_Stage):
         self._transpose = np.ascontiguousarray(matrix.T)
         self._width = max(1, _GEMM_MNK >> (2 * span))  # vectors per product
 
-    def restrict(self, sector):
-        return _Block(sector.num_qubits, sector.position(self.lo), self.span, self.matrix)
-
-    def run(self, amps, scratch):
-        for chunk, out in self._chunks(amps, scratch):
-            rows, size, cols = chunk.shape
-            if cols == 1:
-                # span at the bottom: row vectors times U^T
-                width = min(rows, self._width)
-                np.matmul(
-                    chunk.reshape(-1, width, size),
-                    self._transpose,
-                    out=out.reshape(-1, width, size),
-                )
-            else:
-                width = min(cols, self._width)
-                np.matmul(self.matrix, _columns(chunk, width), out=_columns(out, width))
-            chunk[...] = out
+    def _run(self, chunk, out):
+        rows, size, cols = chunk.shape
+        if cols == 1:
+            # span at the bottom: row vectors times U^T
+            width = min(rows, self._width)
+            np.matmul(
+                chunk.reshape(-1, width, size),
+                self._transpose,
+                out=out.reshape(-1, width, size),
+            )
+        else:
+            width = min(cols, self._width)
+            np.matmul(self.matrix, _columns(chunk, width), out=_columns(out, width))
+        chunk[...] = out
 
 
 def _columns(chunk: np.ndarray, width: int) -> np.ndarray:
@@ -561,11 +616,12 @@ def _compile(circuit: Circuit) -> tuple[_Stage, ...]:
         return hi_ - lo_ + 1 <= (_BLOCK_SPAN if mixing_ else _MONOMIAL_SPAN)
 
     for gate in circuit.gates:
-        q = gate.qubits
-        g_lo, g_hi, g_mixing = min(q, default=n), max(q, default=-1), gate.kind in _MIXING
-        if fits(min(lo, g_lo), max(hi, g_hi), mixing or g_mixing):
+        g_lo, g_hi, g_mixing = gate.lo, gate.hi, gate.kind in _MIXING
+        # the open run's span and kind with the gate added
+        w_lo, w_hi, w_mixing = min(lo, g_lo), max(hi, g_hi), mixing or g_mixing
+        if fits(w_lo, w_hi, w_mixing):
             run.append(gate)
-            lo, hi, mixing = min(lo, g_lo), max(hi, g_hi), mixing or g_mixing
+            lo, hi, mixing = w_lo, w_hi, w_mixing
             continue
         if run:
             stages.append(_fuse(n, tuple(run), lo, hi, mixing))
@@ -650,7 +706,7 @@ class Sector:
 
     def position(self, qubit: int) -> int:
         """The number of kept qubits below ``qubit``: its own number if it is kept."""
-        return sum(1 for q in self.kept if q < qubit)
+        return bisect_left(self.kept, qubit)
 
     def restrict(self, state: StateVector) -> StateVector:
         """The sector's amplitudes of a full-width state, as a state on the kept qubits."""
@@ -682,29 +738,42 @@ def subregister_distribution(state: StateVector, qubits: Sequence[int]) -> np.nd
 
     The probability tensor is summed over the other qubits, taken as runs of
     adjacent qubits so that each run is one axis, and the register's bits
-    are then transposed into its order.
+    are then transposed into its order (``_Marginal``).
     """
     _check_register(state.num_qubits, qubits)
-    kept = set(qubits)
-    sizes: list[int] = []
-    summed: list[int] = []
-    top = state.num_qubits - 1
-    while top >= 0:  # runs of qubits on one side, most significant first
-        bottom = top
-        while bottom > 0 and ((bottom - 1) in kept) == (top in kept):
-            bottom -= 1
-        if top not in kept:
-            summed.append(len(sizes))
-        sizes.append(1 << (top - bottom + 1))
-        top = bottom - 1
-    marginal = state.probabilities().reshape(sizes)
-    # one axis at a time, largest first: faster than one sum over many small axes
-    for axis in sorted(summed, key=lambda a: -sizes[a]):
-        marginal = marginal.sum(axis=axis, keepdims=True)
-    # one axis per register qubit, most significant qubit first
-    descending = sorted(qubits, reverse=True)
-    order = [descending.index(q) for q in reversed(qubits)]
-    return marginal.reshape((2,) * len(qubits)).transpose(order).reshape(-1)
+    return _Marginal(state.num_qubits, qubits)(state.probabilities())
+
+
+class _Marginal:
+    """``subregister_distribution``'s reshape, sums and transpose for one
+    width and register, planned once and applied to any probability vector."""
+
+    def __init__(self, num_qubits: int, qubits: Sequence[int]):
+        kept = set(qubits)
+        sizes: list[int] = []
+        summed: list[int] = []
+        top = num_qubits - 1
+        while top >= 0:  # runs of qubits on one side, most significant first
+            bottom = top
+            while bottom > 0 and ((bottom - 1) in kept) == (top in kept):
+                bottom -= 1
+            if top not in kept:
+                summed.append(len(sizes))
+            sizes.append(1 << (top - bottom + 1))
+            top = bottom - 1
+        self.sizes = tuple(sizes)
+        # one axis at a time, largest first: faster than one sum over many small axes
+        self.summed = sorted(summed, key=lambda a: -sizes[a])
+        self.register = (2,) * len(qubits)
+        # one axis per register qubit, most significant qubit first
+        descending = sorted(qubits, reverse=True)
+        self.order = [descending.index(q) for q in reversed(qubits)]
+
+    def __call__(self, probabilities: np.ndarray) -> np.ndarray:
+        marginal = probabilities.reshape(self.sizes)
+        for axis in self.summed:
+            marginal = marginal.sum(axis=axis, keepdims=True)
+        return marginal.reshape(self.register).transpose(self.order).reshape(-1)
 
 
 def measure_subregister(

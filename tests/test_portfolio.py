@@ -16,7 +16,7 @@ from qslice import (
     sharpe_values,
     slice_portfolios,
 )
-from qslice import portfolio
+from qslice import oracles, portfolio
 from qslice.cli import main
 from qslice.portfolio import count_portfolios, quantize_array
 from qslice.search import GasResult, counting_distribution
@@ -310,6 +310,74 @@ def test_line_endings_give_equal_columns(endings):
     assert got is not None
     for column, expected in zip(got, portfolio._read_rows(text), strict=True):
         assert column.tobytes() == expected.tobytes() and column.dtype == expected.dtype
+
+
+def measured_long_line(text: str, limit: int) -> bool:
+    """The guard as every line measured: a body line of ``_read_fast`` longer than ``limit``."""
+    body = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")[1:]
+    return len(text) > limit and max(map(len, body)) > limit
+
+
+def long_line_text(length: int, offset: int, ending: str, limit: int) -> str:
+    """A frontier whose third line has ``length`` characters, starting ``offset``
+    characters past where it would start with no padding before it."""
+    header = "id,expected_return,std_dev"
+    rows = ["0,0.125,0.5" + " " * offset, "1," + " " * (length - 10) + "0.5,0.25", "2,0.25,0.5"]
+    padding = [f"{k},0.375,0.5" for k in range(3, 3 + limit // 8)]  # longer than the limit in all
+    return ending.join([header, *rows, *padding]) + ending
+
+
+LONG_LINE_ENDINGS = {"lf": "\n", "crlf": "\r\n", "cr": "\r"}
+
+
+@pytest.mark.parametrize("ending", LONG_LINE_ENDINGS.values(), ids=LONG_LINE_ENDINGS)
+def test_the_long_line_guard_declines_what_measuring_every_line_declines(ending):
+    limit = csv.field_size_limit()
+    window = -(-limit // 2)
+    for length in (limit - 1, limit, limit + 1):
+        for offset in (0, 1, 7, window // 2, window - 1, window, window + 3):
+            text = long_line_text(length, offset, ending, limit)
+            lines = text.replace("\r\n", "\n").replace("\r", "\n")
+            body = lines.split("\n")[1:]
+            want = measured_long_line(text, limit)
+            assert want == (length > limit)
+            assert portfolio._has_long_line(lines, body, limit) == want, (length, offset)
+        # through the reader: csv refuses the field, so the text is read row by row
+        text = long_line_text(length, 5, ending, limit)
+        assert (portfolio._read_fast(text) is None) == (length > limit)
+
+
+def test_the_long_line_guard_on_short_limits_and_random_texts():
+    # every split of short texts into lines, against every small limit,
+    # a long header line among them
+    gen = np.random.default_rng(90)
+    for _ in range(3000):
+        chars = gen.choice(["a", "a", "a", "\n"], size=int(gen.integers(0, 40)))
+        text = "".join(chars)
+        body = text.split("\n")[1:]
+        for limit in range(0, 14):
+            want = measured_long_line(text, limit) if body else False
+            got = bool(body) and portfolio._has_long_line(text, body, limit)
+            assert got == want, (text, limit)
+
+
+def test_max_sharpe_compiles_only_the_oracles_gas_compiles(monkeypatch):
+    compiled, at_return = [], []
+    compile_, gas = oracles._compile, portfolio.gas
+    monkeypatch.setattr(oracles, "_compile", lambda *a, **k: compiled.append(1) or compile_(*a, **k))
+
+    def counted_gas(*args, **kwargs):
+        result = gas(*args, **kwargs)
+        at_return.append(len(compiled))
+        return result
+
+    monkeypatch.setattr(portfolio, "gas", counted_gas)
+    for backend in ("effective", "dense"):
+        compiled.clear()
+        result = max_sharpe(fixture_table(4), 0.0, np.random.default_rng(2), 2, backend)
+        assert compiled and at_return[-1] == len(compiled)
+        layout = oracles.single_list_oracle(sharpe_values(fixture_table(4), 0.0), 0).layout
+        assert result.layout == layout.to_dict()
 
 
 def test_a_quoted_carriage_return_is_read_row_by_row():

@@ -1,6 +1,10 @@
 import gc
 import itertools
 import math
+import os
+import pickle
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
@@ -1550,9 +1554,64 @@ def test_two_list_oracles_differing_only_in_thresholds_share_one_operator(monkey
     assert len(builds) == 2
 
 
+def test_a_new_table_of_a_seen_shape_fuses_only_its_phase_estimations(monkeypatch):
+    gen = np.random.default_rng(86)
+
+    def fresh_oracle():
+        return single_list_oracle(ValueTable(5, gen.integers(0, 32, 8)), 9, "gt")
+
+    search._evolution(fresh_oracle(), "dense")  # the shape, seen
+    oracle = fresh_oracle()
+    fused, compiled = [], []
+    fuse, compile_ = sim._fuse, sim._compile
+
+    def counted_fuse(*args):
+        misses = fuse.cache_info().misses
+        stage = fuse(*args)
+        if fuse.cache_info().misses > misses:
+            fused.append(args[1])
+        return stage
+
+    monkeypatch.setattr(sim, "_fuse", counted_fuse)
+    monkeypatch.setattr(sim, "_compile", lambda c: compiled.append(c) or compile_(c))
+    preparations = oracles._preparation.cache_info().misses
+    evolution = search._evolution(oracle, "dense")
+    # one compile, the Grover operator's; its only new stages are the phase
+    # estimation and its inverse, which hold the table's phases
+    assert len(compiled) == 1 and compiled[0].gates is evolution.operator.gates
+    index = oracle.layout.index
+    assert len(fused) == 2 and all(
+        any(g.kind == sim.KIND_PHASE and g.targets == index for g in run) for run in fused
+    )
+    assert oracles._preparation.cache_info().misses == preparations
+
+
+def test_equal_gates_hash_equal_and_a_loaded_gate_is_rehashed():
+    oracle = single_list_oracle(ValueTable(3, (1, 5, 3, 7, 0, 2, 6, 4)), 5, "gt")
+    gates = grover_operator(oracle).gates
+    for g in gates:
+        rebuilt = sim.Gate(g.kind, g.targets, g.controls, g.matrix, g.turns)
+        loaded = pickle.loads(pickle.dumps(g))
+        assert rebuilt == g == loaded and hash(rebuilt) == hash(g) == hash(loaded)
+        assert (loaded.lo, loaded.hi, loaded.qubits) == (g.lo, g.hi, g.qubits)
+    # a process that hashes str differently loads the gates with its own hashes
+    script = (
+        "import pickle, sys; from qslice import sim; "
+        "gates = pickle.loads(sys.stdin.buffer.read()); "
+        "print(all(hash(g) == hash(sim.Gate(g.kind, g.targets, g.controls, g.matrix, g.turns)) "
+        "and hash(g) != h for g, h in gates))"
+    )
+    payload = pickle.dumps([(g, hash(g)) for g in gates[:3]])
+    seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", script], input=payload, env=env,
+                          capture_output=True, timeout=120, check=True)
+    assert done.stdout.decode().strip() == "True"
+
+
 def test_every_build_memo_is_bounded():
     memos = (sim._fuse, sim._inverse_qft, oracles._comparator, oracles._diffusion,
-             search._operator_slot)
+             search._operator_slot, oracles._preparation)
     assert all(memo.cache_info().maxsize for memo in memos)
 
 
