@@ -7,7 +7,8 @@ quantized to the search resolution t. Slicing runs the two-list oracle
 through counting + fixed-iteration Grover; the maximum Sharpe ratio runs the
 single-list oracle through adaptive search; counting runs the two-list or a
 single-list oracle, depending on which thresholds are given, through
-quantum counting.
+quantum counting. Slicing and counting share one counting routine,
+``search.count_solutions``, and differ only in its width and sample count.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ from .search import (
     CountEstimate,
     EnumerationResult,
     GasResult,
+    count_solutions,
     enumerate_solutions,
     gas,
     m_detect,
     m_exact,
-    quantum_counting,
 )
 
 
@@ -402,8 +403,10 @@ def count_portfolios(
     accuracy bits of theta in radians, so the register falls ANGLE_BITS
     short of the accuracy they were derived for (``counting_register``), and
     the rounded count is not guaranteed to be the true one; the estimate's
-    ``bound`` is that of the register. A count above half the index space is
-    repeated on the doubled oracle, of which at most half is marked.
+    ``bound`` is that of the register. It is one outcome of
+    ``search.count_solutions``, the count-then-double rule that ``slice``
+    shares: a count above half the index space is repeated on the doubled
+    oracle, of which at most half is marked, at that oracle's width.
     """
     if return_min is None and risk_max is None:
         raise ValueError("counting needs a return and/or a risk threshold")
@@ -416,11 +419,6 @@ def count_portfolios(
     else:
         s1, s2 = quantize(return_min, table.t), quantize(risk_max, table.t)
         oracle = two_list_oracle(table.returns, table.sigmas, s1, s2)
-    pick_m = m_exact if mode == "exact" else m_detect
-    est = quantum_counting(oracle, pick_m(oracle.index_size), rng, backend)
-    doubled = False
-    if est.m_rounded > oracle.index_size / 2:
-        oracle = oracle.doubled()
-        doubled = True
-        est = quantum_counting(oracle, pick_m(oracle.index_size), rng, backend)
+    bits = m_exact if mode == "exact" else m_detect
+    oracle, _, est, _, doubled = count_solutions(oracle, bits, 0, 1, rng, backend)
     return CountResult(est, doubled, oracle.layout.to_dict())

@@ -36,6 +36,13 @@ by the law in closed form, with no array of 2^m outcomes, and the dense
 backend by its simulated law. A point mass locates one uniform per draw in
 the law's CDF.
 
+Counting has one routine, ``count_solutions``: the rounded median of a batch
+of outcomes (``_median_count``), counted once more on the doubled oracle
+when it is above N/2, with 2^m - 1 oracle calls charged per outcome drawn.
+``slice`` runs it on m_exact(N) + ``ENUMERATION_EXTRA_BITS`` qubits with
+``ENUMERATION_SAMPLES`` outcomes, ``count`` on the paper width with one, and
+``quantum_counting`` is its one-outcome count with no doubling.
+
 Sampling is deterministic for a given ``numpy.random.Generator``; independent
 repetitions derive child generators by spawning, one as each starts, so runs
 are reproducible from a single master seed.
@@ -646,14 +653,14 @@ def quantum_counting(
     """Phase-estimate the Grover operator to count solutions.
 
     Returns one sample of the exact outcome law, with a builder of the law
-    kept on the estimate. Both backends draw it as ``_count`` does. The
-    dense law follows from the overlaps <psi|G^k psi>, k < 2^m, that the
-    oracle's Grover-evolution memo records, so a later search with j < 2^m
-    steps nothing; the effective count follows from the two eigenphases and
-    allocates no array of 2^m outcomes, so its register may exceed the dense
-    cap.
+    kept on the estimate: ``count_solutions``'s one-sample case on an m-qubit
+    register, with no doubling. The dense law follows from the overlaps
+    <psi|G^k psi>, k < 2^m, that the oracle's Grover-evolution memo records,
+    so a later search with j < 2^m steps nothing; the effective count
+    follows from the two eigenphases and allocates no array of 2^m outcomes,
+    so its register may exceed the dense cap.
     """
-    return _count(oracle, m, rng, backend, 1)[0]
+    return _median_count(oracle, m, rng, backend, 1)[1]
 
 
 def _count(
@@ -662,9 +669,9 @@ def _count(
     rng: np.random.Generator,
     backend: str,
     draws: int,
-) -> tuple[CountEstimate, np.ndarray]:
-    """``draws`` outcomes of one m-qubit count, drawn as one batch, and the
-    estimate of the first.
+) -> tuple[Callable[[], np.ndarray], np.ndarray]:
+    """A builder of the law of one m-qubit count, and ``draws`` outcomes of
+    it, drawn as one batch.
 
     Within 1e-12 of an integer x = 2^m phi (no solution, every index a
     solution, or an exact phase) the law is a point mass, and each draw
@@ -677,25 +684,67 @@ def _count(
     if m < 1:
         raise ValueError("m must be >= 1")
     n_space, n_marked, size = oracle.index_size, len(oracle.marked_set), 1 << m
-    if backend == "dense":
-        dist = _dense_counting_distribution(oracle, m)
-        law = lambda: dist
-    else:
-        dist, law = None, partial(counting_distribution, n_space, n_marked, m)
+    dist = _dense_counting_distribution(oracle, m) if backend == "dense" else None
+    law = partial(counting_distribution, n_space, n_marked, m) if dist is None else lambda: dist
     phi = grover_angle(n_space, n_marked) / (2.0 * math.pi) if n_marked else 0.0
     x = phi * size
     peak = round(x)
     if abs(x - peak) >= 1e-12:
-        outcomes = _CountSampler(x, size).draw(draws, rng, dist)
-    elif dist is not None:
-        outcomes = _measurement_cdf(dist).searchsorted(rng.random(draws), side="right")
-    else:
-        low, high = sorted((peak % size, -peak % size))
-        outcomes = np.where(rng.random(draws) < 0.5, low, high)
-    b = int(outcomes[0])
-    theta_est, m_est, m_rounded = estimate_from_outcome(b, m, n_space)
-    bound = register_error_bound(n_space, max(m_rounded, 0), m)
-    return CountEstimate(m, b, n_space, theta_est, m_est, m_rounded, bound, law), outcomes
+        return law, _CountSampler(x, size).draw(draws, rng, dist)
+    if dist is not None:
+        return law, _measurement_cdf(dist).searchsorted(rng.random(draws), side="right")
+    low, high = sorted((peak % size, -peak % size))
+    return law, np.where(rng.random(draws) < 0.5, low, high)
+
+
+def _median_count(
+    oracle: OracleCircuit,
+    m: int,
+    rng: np.random.Generator,
+    backend: str,
+    samples: int,
+) -> tuple[int, CountEstimate]:
+    """The rounded median of ``samples`` outcomes of one m-qubit count,
+    drawn as one batch, and the estimate of the first outcome at it.
+
+    The median of an even number of samples is the upper one. The estimate's
+    ``m_rounded`` is the median, and its ``bound`` is ``register_error_bound``
+    there.
+    """
+    law, outcomes = _count(oracle, m, rng, backend, samples)
+    rounded = [estimate_from_outcome(b, m, oracle.index_size)[2] for b in outcomes.tolist()]
+    median = sorted(rounded)[samples // 2]
+    b = int(outcomes[rounded.index(median)])
+    theta_est, m_est, _ = estimate_from_outcome(b, m, oracle.index_size)
+    bound = register_error_bound(oracle.index_size, median, m)
+    return median, CountEstimate(m, b, oracle.index_size, theta_est, m_est, median, bound, law)
+
+
+def count_solutions(
+    oracle: OracleCircuit,
+    bits: Callable[[int], int],
+    extra_bits: int,
+    samples: int,
+    rng: np.random.Generator,
+    backend: str = "effective",
+) -> tuple[OracleCircuit, int, CountEstimate, int, bool]:
+    """Count the solutions: the one count-then-double rule of ``slice`` and ``count``.
+
+    The register holds ``bits(N) + extra_bits`` qubits, and the count is the
+    rounded median of ``samples`` outcomes (``_median_count``). A median
+    above N/2 is counted once more, on the doubled oracle (of which at most
+    half is marked) at its own width. Returns the oracle counted last, its
+    median and estimate, the oracle calls charged, 2^m - 1 per outcome
+    drawn, and whether the oracle was doubled.
+    """
+    calls = 0
+    for doubled in (False, True):
+        m = bits(oracle.index_size) + extra_bits
+        median, estimate = _median_count(oracle, m, rng, backend, samples)
+        calls += samples * ((1 << m) - 1)
+        if doubled or median <= oracle.index_size / 2:
+            return oracle, median, estimate, calls, doubled
+        oracle = oracle.doubled()
 
 
 class _CountSampler:
@@ -829,20 +878,6 @@ class EnumerationResult:
     doubled: bool
 
 
-def _median_count(
-    oracle: OracleCircuit,
-    m: int,
-    rng: np.random.Generator,
-    backend: str,
-    samples: int,
-) -> tuple[int, CountEstimate]:
-    """The rounded median of ``samples`` counts, and the estimate of one more
-    drawn before them, all as one batch."""
-    est, outcomes = _count(oracle, m, rng, backend, 1 + samples)
-    rounded = sorted(estimate_from_outcome(b, m, est.n_space)[2] for b in outcomes[1:].tolist())
-    return rounded[len(rounded) // 2], est
-
-
 def _enumeration_block(m_hat: int, missing: int, p: float, runs_left: int) -> int:
     """The runs of the next block: twice the m_hat H_k / p runs expected to
     draw the k = ``missing`` solutions still unseen, with H_k taken as
@@ -859,25 +894,20 @@ def enumerate_solutions(
 ) -> EnumerationResult:
     """Count the solutions, then collect them with fixed-iteration Grover runs.
 
-    The count uses a register wide enough to round the estimate to the true
-    M reliably; the median of several samples guards the tail. If the count
-    exceeds N/2 the oracle is doubled first so the iteration formula applies.
-    Raises ``SearchDisagreement`` if the collected set cannot reach the
-    counted size, which signals a counting/search inconsistency.
+    ``count_solutions`` counts on m_exact(N) + ``ENUMERATION_EXTRA_BITS``
+    qubits, wide enough to round the estimate to the true M reliably, and
+    the median of ``ENUMERATION_SAMPLES`` outcomes guards the tail. A count
+    above N/2 is repeated on the doubled oracle, which the runs then search,
+    so the iteration formula applies. The estimate returned is that of the
+    first outcome at the median, on the oracle counted last. Raises
+    ``SearchDisagreement`` if the collected set cannot reach the counted
+    size, which signals a counting/search inconsistency.
     """
-    _check_backend(backend)
-    calls = 0
-    doubled = False
-    while True:
-        m = m_exact(oracle.index_size) + ENUMERATION_EXTRA_BITS
-        m_hat, estimate = _median_count(oracle, m, rng, backend, ENUMERATION_SAMPLES)
-        calls += ENUMERATION_SAMPLES * ((1 << m) - 1)
-        if m_hat == 0:
-            return EnumerationResult(frozenset(), estimate, calls, 0, doubled)
-        if doubled or m_hat <= oracle.index_size / 2:
-            break
-        oracle = oracle.doubled()
-        doubled = True
+    oracle, m_hat, estimate, calls, doubled = count_solutions(
+        oracle, m_exact, ENUMERATION_EXTRA_BITS, ENUMERATION_SAMPLES, rng, backend
+    )
+    if m_hat == 0:
+        return EnumerationResult(frozenset(), estimate, calls, 0, doubled)
 
     iterations = iteration_count(oracle.index_size, m_hat)
     found = np.empty(0, dtype=np.intp)

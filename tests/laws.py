@@ -26,6 +26,8 @@ QES_BUDGET_FACTOR = 5
 ENUMERATION_SAMPLES = 15
 #: Counting qubits enumeration adds to m_exact(N).
 ENUMERATION_EXTRA_BITS = 4
+#: Enumeration's run cap, max(RUN_FLOOR, ceil(M (ln M + RUN_NATS) / p)).
+RUN_FLOOR, RUN_NATS = 64, 21
 
 
 def default_qes_budget(n_space: int) -> int:
@@ -91,6 +93,43 @@ def qes_law(n_space: int, marked: int, budget: int) -> np.ndarray:
         within = min(runs - 1, budget - calls)
         live[calls + 1 : calls + 1 + within] += missed[:within]
         law[0, calls + 1 + within : calls + runs] += missed[within:]
+    return law
+
+
+def enumeration_runs(n_space: int, marked: int) -> tuple[int, float, int]:
+    """Enumeration's plan on a correct count of 1 <= M <= N/2: the iterations
+    j = CI(pi / (2 theta) - 1/2) of every run (halves rounded down), its
+    success probability p = sin^2((2j+1) theta/2), and the run cap."""
+    theta = 2.0 * math.asin(math.sqrt(marked / n_space))
+    iterations = max(0, math.ceil(math.pi / (2.0 * theta) - 1.0))
+    p = math.sin((2 * iterations + 1) * theta / 2.0) ** 2
+    cap = max(RUN_FLOOR, math.ceil(marked * (math.log(marked) + RUN_NATS) / p))
+    return iterations, p, cap
+
+
+def enumeration_law(n_space: int, marked: int) -> np.ndarray:
+    """The law of ``enumerate_solutions``'s ``grover_runs`` on a correct count.
+
+    Every run measures a marked index with probability p and then each of
+    the M solutions alike (Boyer, Brassard, Hoyer and Tapp 1998), so with k
+    of them seen it finds a new one with probability p (M - k) / M. The
+    runs stop when all M are seen, or at the run cap. ``law[r]``, r up to
+    the cap, is the probability that the set completes at run r, and the
+    last entry, at cap + 1, that the cap comes first, where enumeration
+    reports a disagreement. A DP over k, stepped run by run; a count above
+    N/2 is enumerated on the doubled oracle, so its law is that at 2N.
+    """
+    _, p, cap = enumeration_runs(n_space, marked)
+    finds = p * (marked - np.arange(marked)) / marked  # P(a new solution | k seen), k < M
+    seen = np.zeros(marked + 1)  # P(k seen, not complete before this run)
+    seen[0] = 1.0
+    law = np.zeros(cap + 2)
+    for runs in range(1, cap + 1):
+        found = seen[:-1] * finds
+        seen[:-1] -= found
+        seen[1:] += found
+        law[runs], seen[-1] = seen[-1], 0.0
+    law[-1] = seen.sum()
     return law
 
 

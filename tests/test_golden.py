@@ -9,7 +9,10 @@ where the stepped amplitudes of an oracle with no marked entry drift by an
 ulp. A change that alters which numbers a search draws, which index it
 measures or how many oracle calls it charges fails here; such a change must
 be deliberate, stated in CHANGES.md, and the goldens rewritten with
-``PYTHONPATH=src python tests/test_golden.py --write``.
+``PYTHONPATH=src python tests/test_golden.py --write``. The writer prints
+each case that moved with the dotted JSON fields that changed in it, and
+warns on a line of its own when a selection moved: ``selected_ids``, ``id``
+or a top-level ``M_rounded``.
 """
 
 from __future__ import annotations
@@ -110,6 +113,72 @@ def generated_paths(directory: Path) -> dict:
     return paths
 
 
+#: Fields whose move changes what a command selects or counts, not only how.
+SELECTION_FIELDS = ("selected_ids", "id", "M_rounded")
+
+#: Stands for the value of a key that one payload lacks.
+ABSENT = object()
+
+
+def moved_fields(old, new, prefix: str = "") -> list[str]:
+    """The dotted names of the fields in which two parsed JSON payloads differ.
+
+    Objects are compared key by key; a list or a scalar is one field, and a
+    key present on one side only is a field that moved.
+    """
+    if isinstance(old, dict) and isinstance(new, dict):
+        return [
+            name
+            for key in sorted(old.keys() | new.keys())
+            for name in moved_fields(old.get(key, ABSENT), new.get(key, ABSENT), f"{prefix}{key}.")
+        ]
+    return [prefix[:-1] or "stdout"] if old != new else []
+
+
+def report_moves(old: dict, new: dict) -> list[str]:
+    """One line per case added, removed or moved from ``old`` to ``new``
+    (stdout by case name), and a warning line after each moved selection."""
+    lines = [f"removed: {name}" for name in sorted(old.keys() - new.keys())]
+    lines += [f"added: {name}" for name in sorted(new.keys() - old.keys())]
+    for name in sorted(old.keys() & new.keys()):
+        try:
+            fields = moved_fields(json.loads(old[name]), json.loads(new[name]))
+        except ValueError:  # not one JSON object
+            fields = ["stdout"] if old[name] != new[name] else []
+        if fields:
+            lines.append(f"moved: {name}: {', '.join(fields)}")
+        selections = [field for field in fields if field in SELECTION_FIELDS]
+        if selections:
+            lines.append(f"WARNING: {name}: selection moved: {', '.join(selections)}")
+    return lines
+
+
+def test_the_writer_names_each_moved_field():
+    old = {
+        "a": '{"count_estimate": {"b": 1, "m": 5}, "oracle_calls": 9, "selected_ids": [1]}\n',
+        "b": '{"M_rounded": 2, "id": 4}\n',
+        "c": "text\n",
+        "gone": "{}\n",
+    }
+    new = {
+        "a": '{"count_estimate": {"b": 2, "m": 5}, "oracle_calls": 8, "selected_ids": [1], "x": 0}\n',
+        "b": '{"M_rounded": 3, "id": 4}\n',
+        "c": "other\n",
+        "new": "{}\n",
+    }
+    assert report_moves(old, new) == [
+        "removed: gone",
+        "added: new",
+        "moved: a: count_estimate.b, oracle_calls, x",
+        "moved: b: M_rounded",
+        "WARNING: b: selection moved: M_rounded",
+        "moved: c: stdout",
+    ]
+    # a nested M_rounded is slice's estimate, not what slice selects
+    estimates = ({"s": '{"count_estimate": {"M_rounded": 1}}'}, {"s": '{"count_estimate": {"M_rounded": 2}}'})
+    assert report_moves(*estimates) == ["moved: s: count_estimate.M_rounded"]
+
+
 @pytest.fixture(scope="module")
 def paths(tmp_path_factory):
     return generated_paths(tmp_path_factory.mktemp("golden"))
@@ -146,5 +215,8 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         paths = generated_paths(Path(tmp))
         result = {name: run_case(f, c, s, paths) for name, f, c, s in cases()}
+    previous = json.loads(GOLDEN_PATH.read_text(encoding="utf-8")) if GOLDEN_PATH.exists() else {}
+    for line in report_moves(previous, result):
+        print(line)
     GOLDEN_PATH.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(result)} cases to {GOLDEN_PATH}")

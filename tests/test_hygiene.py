@@ -1,7 +1,8 @@
 """Source hygiene: every name a package or test module imports is used in that
 module, every private module-level name of the package is read somewhere in
-it, the package imports nothing its declared dependencies lack, and it draws
-random numbers only through ``numpy.random.Generator``'s methods."""
+it, the package imports nothing its declared dependencies lack, it draws
+random numbers only through ``numpy.random.Generator``'s methods, and only
+``search`` counts solutions or doubles an oracle."""
 
 import ast
 import re
@@ -183,3 +184,51 @@ def test_the_package_draws_only_through_generator_methods():
         "advance",
         "has_uint32",
     ]
+
+
+#: The counting primitives, which only ``search`` calls: its ``count_solutions``
+#: is the one count-then-double rule of ``slice`` and ``count``.
+COUNTING_PRIMITIVES = {"quantum_counting", "_median_count", "_count"}
+
+
+def counting_calls(source: str) -> set[str]:
+    """Calls of ``.doubled()``, and of a counting primitive that ``search``
+    names: imported from it by name, or read as an attribute of a module."""
+    tree = ast.parse(source)
+    from_search = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "search"
+        for alias in node.names
+        if alias.name in COUNTING_PRIMITIVES
+    }
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in COUNTING_PRIMITIVES | {"doubled"}:
+            found.add(func.attr)
+        elif isinstance(func, ast.Name) and func.id in from_search:
+            found.add(func.id)
+    return found
+
+
+def test_the_counting_rule_finds_doubling_and_primitive_calls():
+    source = (
+        "from .search import count_solutions, m_exact, quantum_counting as qc\n"
+        "def _count(args): return qc(args.oracle, 3, args.rng)\n"  # a local _count is not search's
+        "def run(oracle, rng):\n"
+        "    _count(oracle)\n"
+        "    count_solutions(oracle, m_exact, 0, 1, rng)\n"
+        "    search._median_count(oracle, 5, rng, 'dense', 15)\n"
+        "    return oracle.doubled()\n"
+    )
+    assert counting_calls(source) == {"qc", "_median_count", "doubled"}
+
+
+def test_only_search_counts_or_doubles():
+    # a second count-then-double rule outside search would let slice and
+    # count drift apart again
+    found = {p.stem: counting_calls(p.read_text()) for p in PACKAGE.glob("*.py") if p.stem != "search"}
+    assert {module: names for module, names in found.items() if names} == {}

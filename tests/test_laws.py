@@ -1,5 +1,5 @@
-"""Grover draws, exponential search and counting's median on the effective
-backend against their exact laws (``laws.py``)."""
+"""Grover draws, exponential search, counting's median and enumeration's runs
+on the effective backend against their exact laws (``laws.py``)."""
 
 import itertools
 import math
@@ -15,6 +15,8 @@ from laws import (
     chi_square_sf,
     counting_law,
     default_qes_budget,
+    enumeration_law,
+    enumeration_runs,
     grover_index_law,
     median_count_law,
     qes_law,
@@ -23,6 +25,7 @@ from laws import (
 from qslice import (
     ValueTable,
     direct_marking_oracle,
+    enumerate_solutions,
     grover_search,
     m_exact,
     qes,
@@ -255,13 +258,23 @@ MEDIAN_RUNS = 2000
 
 
 @pytest.mark.parametrize("n_space, marked, m", MEDIAN_CASES)
-def test_seeded_median_count_follows_its_law(n_space, marked, m):
+def test_seeded_median_count_follows_its_law(n_space, marked, m, monkeypatch):
     oracle = direct_marking_oracle(n_space.bit_length() - 1, list(range(marked)))
     rng = np.random.default_rng([2002, n_space, marked, m])
     law = median_count_law(n_space, marked, m)
     observed = np.zeros(n_space + 1)
+    real, drawn = search._count, []
+
+    def recorded(*args):
+        builder, outcomes = real(*args)
+        drawn.append(outcomes.tolist())
+        return builder, outcomes
+
+    monkeypatch.setattr(search, "_count", recorded)
     for _ in range(MEDIAN_RUNS):
-        median, _ = search._median_count(oracle, m, rng, "effective", ENUMERATION_SAMPLES)
+        median, estimate = search._median_count(oracle, m, rng, "effective", ENUMERATION_SAMPLES)
+        # the estimate printed is that of a draw at the median
+        assert estimate.m_rounded == median and estimate.b in drawn.pop()
         observed[median] += 1
     assert not observed[law == 0.0].any()
     expected, counts = binned(MEDIAN_RUNS * law, observed)
@@ -269,3 +282,72 @@ def test_seeded_median_count_follows_its_law(n_space, marked, m):
     statistic = float(((counts - expected) ** 2 / expected).sum())
     p_value = chi_square_sf(statistic, expected.size - 1)
     assert p_value >= 0.01, (n_space, marked, m, statistic, expected.size)
+
+
+def test_restated_enumeration_plan_is_qslices(monkeypatch):
+    for n_space in (2, 16, 256, 4096):
+        for marked in sorted({1, 2, n_space // 4, n_space // 2} & set(range(1, n_space // 2 + 1))):
+            assert enumeration_runs(n_space, marked)[0] == search.iteration_count(n_space, marked)
+    # a count one over the true 3 runs to the cap, which the disagreement names
+    real = search._median_count
+    monkeypatch.setattr(search, "_median_count", lambda *args: (4, real(*args)[1]))
+    cap = enumeration_runs(16, 4)[2]
+    with pytest.raises(search.SearchDisagreement, match=f"after {cap} searches"):
+        enumerate_solutions(direct_marking_oracle(4, [0, 1, 2]), np.random.default_rng(0))
+
+
+def subset_chain_law(n_space: int, marked: int) -> np.ndarray:
+    """``enumeration_law`` by brute force: a Markov chain over the sets of
+    solutions seen, each run measuring every index by ``grover_index_law``."""
+    iterations, _, cap = enumeration_runs(n_space, marked)
+    per_index = grover_index_law(np.arange(n_space) < marked, iterations)[:marked]
+    sets = np.arange(1 << marked)
+    chain = np.zeros(1 << marked)
+    chain[0] = 1.0
+    law = np.zeros(cap + 2)
+    for runs in range(1, cap + 1):
+        stepped = chain * (1.0 - per_index.sum())
+        for i, weight in enumerate(per_index):
+            np.add.at(stepped, sets | (1 << i), chain * weight)
+        law[runs], stepped[-1] = stepped[-1], 0.0
+        chain = stepped
+    law[-1] = chain.sum()
+    return law
+
+
+@pytest.mark.parametrize("n_space", [2, 4, 8, 16, 256])
+def test_enumeration_law_sums_to_one(n_space):
+    for marked in sorted({1, 2, 3, n_space // 4, n_space // 2} & set(range(1, n_space // 2 + 1))):
+        law = enumeration_law(n_space, marked)
+        assert (law >= 0.0).all() and not law[:marked].any()
+        assert abs(law.sum() - 1.0) < 1e-12, (n_space, marked)
+        assert law[-1] <= math.exp(-21), (n_space, marked)  # enumeration's stated cap miss
+
+
+def test_enumeration_law_is_the_subset_chain():
+    for n_space in (2, 4, 8, 16):
+        for marked in range(1, n_space // 2 + 1):
+            want = subset_chain_law(n_space, marked)
+            np.testing.assert_allclose(enumeration_law(n_space, marked), want, rtol=1e-9, atol=1e-15)
+
+
+# Fixed before the first run: the (N, M) case, the enumerations per case,
+# each case's seed, and the binning of ``binned``.
+ENUMERATION_CASES = [(16, 3)]
+ENUMERATION_RUNS = 3000
+
+
+@pytest.mark.parametrize("n_space, marked", ENUMERATION_CASES)
+def test_seeded_enumeration_runs_follow_their_law(n_space, marked):
+    oracle = direct_marking_oracle(n_space.bit_length() - 1, list(range(marked)))
+    rng = np.random.default_rng([1998, n_space, marked])
+    law = enumeration_law(n_space, marked)
+    observed = np.zeros(law.size)
+    for _ in range(ENUMERATION_RUNS):
+        observed[enumerate_solutions(oracle, rng).grover_runs] += 1
+    assert not observed[law == 0.0].any()
+    expected, counts = binned(ENUMERATION_RUNS * law, observed)
+    assert expected.size >= 2
+    statistic = float(((counts - expected) ** 2 / expected).sum())
+    p_value = chi_square_sf(statistic, expected.size - 1)
+    assert p_value >= 0.01, (n_space, marked, statistic, expected.size)

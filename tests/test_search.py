@@ -532,6 +532,28 @@ def test_enumerate_all_marked_triggers_doubling():
     assert result.doubled
 
 
+@pytest.mark.parametrize("backend", ["effective", "dense"])
+@pytest.mark.parametrize("marked, doubled", [({1, 4, 6}, False), (set(range(7)), True)])
+def test_enumeration_charges_every_count_draw(backend, marked, doubled, monkeypatch):
+    # every outcome a count draws costs 2^m - 1 oracle calls, and every
+    # fixed-iteration run its j: the reported calls are those and no others
+    tally = []
+    real = search._count
+
+    def tallied(oracle, m, rng, backend, draws):
+        tally.append(draws * ((1 << m) - 1))
+        return real(oracle, m, rng, backend, draws)
+
+    monkeypatch.setattr(search, "_count", tallied)
+    for seed in range(3):
+        tally.clear()
+        result = enumerate_solutions(direct_marking_oracle(3, marked), np.random.default_rng(seed), backend)
+        assert result.indices == frozenset(marked)
+        assert (result.doubled, len(tally)) == (doubled, 1 + doubled)
+        iterations = iteration_count(result.count_estimate.n_space, len(marked))
+        assert result.oracle_calls == sum(tally) + iterations * result.grover_runs
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_enumerate_resolution_critical_counts(seed):
     # M = 3 of 8 needs the widened counting register to round correctly
