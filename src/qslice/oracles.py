@@ -8,9 +8,10 @@ because the values are exact t-bit fractions); a reversible comparator per
 atom against its threshold register and a combiner per internal node; the
 root writes the oracle qubit, prepared in |->, so index k picks up the
 phase (-1)**predicate(k); then the compute stage runs in reverse and
-uncomputes every working register. The single-list, two-list and
-condition-tree builders wrap that compiler; the direct marking oracle,
-which has no values, is built on its own.
+uncomputes every working register. Every builder wraps that compiler: the
+single-list, two-list and condition-tree oracles, and the direct marking
+oracle, whose index set is the 1-bit table holding 1 at the marked indices,
+marked where it is greater than 0.
 
 Two backends realise the Grover iteration:
 
@@ -165,18 +166,18 @@ class OracleCircuit:
     The circuit and the mask are built lazily, so effective-backend searches
     build no gates. Outside the index register the prepared workspace is the
     basis state ``reference_basis`` (the threshold bits) with the oracle
-    qubit, if there is one, in |->.
+    qubit in |->.
     """
 
     layout: RegisterLayout
     mask_builder: Callable[[], np.ndarray]
     circuit_builder: Callable[[], Circuit]
     doubled_builder: Callable[[], "OracleCircuit"]
-    description: str = ""
-    reference_basis: int = 0
-    oracle_qubit: int | None = None
-    #: Equal for oracles that differ only in thresholds, and so in no gate; None: unshared.
-    operator_key: tuple | None = None
+    description: str
+    reference_basis: int
+    oracle_qubit: int
+    #: Equal for oracles that differ only in thresholds, and so in no gate.
+    operator_key: tuple
     #: The effective and dense Grover evolutions memoised by ``search``; they
     #: hold the mask, or the Grover operator and a workspace state, but never
     #: the oracle, so neither forms a reference cycle with it.
@@ -418,15 +419,13 @@ def _compile(
 
 @lru_cache(maxsize=16)
 def _preparation(
-    num_qubits: int, index: tuple[int, ...], oracle: int | None, flipped: tuple[int, ...]
+    num_qubits: int, index: tuple[int, ...], oracle: int, flipped: tuple[int, ...]
 ) -> Circuit:
     """The preparation of |psi>: H on the ``index`` qubits, X on the ``flipped``
     ones, then |-> on the ``oracle`` qubit. It depends on the layout alone, so
     the last 16 layouts are kept, each compiled on its first apply; no memo
     holds a state. The dense backend prepares its sector with it, renumbered."""
-    gates = [h(q) for q in index] + [x(q) for q in flipped]
-    if oracle is not None:
-        gates += [x(oracle), h(oracle)]
+    gates = [h(q) for q in index] + [x(q) for q in flipped] + [x(oracle), h(oracle)]
     return Circuit(num_qubits, tuple(gates))
 
 
@@ -492,29 +491,22 @@ def condition_oracle(cond: Condition) -> OracleCircuit:
 
 
 def direct_marking_oracle(n: int, marked: Iterable[int]) -> OracleCircuit:
-    """Phase-flip oracle on an explicit marked set; layout is n index qubits only."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    """Mark an explicit index set; layout size n + 3, named as the single-list one.
+
+    The set is the 1-bit value table holding 1 at the marked indices, and
+    the oracle marks where that table is greater than 0.
+    """
+    # refused above the effective-backend cap, where no search could build the mask
+    indicator = np.zeros(effective_index_size(n), dtype=np.int64)
     marked_set = frozenset(int(k) for k in marked)
-    size = 1 << n
     for k in marked_set:
-        if not 0 <= k < size:
+        if not 0 <= k < indicator.size:
             raise ValueError(f"marked index {k} out of range for n={n}")
-    index = tuple(range(n))
-
-    def mask() -> np.ndarray:
-        return np.isin(np.arange(size), list(marked_set))
-
-    def build() -> Circuit:
-        turns = [0.5 if k in marked_set else 0.0 for k in range(size)]
-        return Circuit(n, (phase(index, turns),))
-
-    return OracleCircuit(
-        RegisterLayout(n, (("index", index),)),
-        mask,
-        build,
-        lambda: direct_marking_oracle(n + 1, marked_set),
+    indicator[list(marked_set)] = 1
+    return _compile(
+        Atom("gt", ValueTable(1, indicator), 0),
         f"direct marking of {sorted(marked_set)}",
+        _SINGLE_LIST_NAMES,
     )
 
 
@@ -621,11 +613,10 @@ def index_amplitudes(state: StateVector, oracle: OracleCircuit) -> np.ndarray:
     anc_qubits = state.num_qubits - n
     ref = np.zeros(1 << anc_qubits, dtype=np.complex128)
     ref[oracle.reference_basis >> n] = 1.0
-    if oracle.oracle_qubit is not None:  # |-> = (|0> - |1>) / sqrt(2)
-        ref[(oracle.reference_basis | 1 << oracle.oracle_qubit) >> n] = -1.0
-        ref /= math.sqrt(2.0)
+    ref[(oracle.reference_basis | 1 << oracle.oracle_qubit) >> n] = -1.0
+    ref /= math.sqrt(2.0)  # |-> = (|0> - |1>) / sqrt(2) on the oracle qubit
     mat = state.amplitudes.reshape(1 << anc_qubits, 1 << n)
-    # ref has at most two nonzero rows, so plain numpy sums replace BLAS
+    # ref has two nonzero rows, so plain numpy sums replace BLAS
     # calls, which stall when the process is pinned to one CPU
     rows = np.flatnonzero(ref)
     coeffs = np.einsum("r,ri->i", ref[rows].conj(), mat[rows])

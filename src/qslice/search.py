@@ -261,10 +261,10 @@ class _DenseEvolution(_Evolution):
 
     def __init__(self, oracle: OracleCircuit):
         sim.check_capacity(oracle.num_qubits)  # refused by its full width before anything is built
-        slot = _operator_slot(oracle.operator_key) if oracle.operator_key else []
+        slot = _operator_slot(oracle.operator_key)
         if not slot:
             slot.append(grover_operator(oracle))
-        moving = sum(1 << q for q in (*oracle.layout.index, oracle.oracle_qubit) if q is not None)
+        moving = sum(1 << q for q in (*oracle.layout.index, oracle.oracle_qubit))
         self.operator = sector = sim.Sector(slot[0], held=~moving, values=oracle.reference_basis)
         self.index = tuple(map(sector.position, oracle.layout.index))
         # the X gates on fixed qubits set the values the sector holds; the rest
@@ -273,7 +273,7 @@ class _DenseEvolution(_Evolution):
         prep = _preparation(
             sector.num_qubits,
             self.index,
-            None if oracle.oracle_qubit is None else sector.position(oracle.oracle_qubit),
+            sector.position(oracle.oracle_qubit),
             tuple(sector.position(q) for q in range(oracle.num_qubits) if flipped >> q & 1),
         )
         psi = sim.apply(sim.new_basis_state(sector.num_qubits, 0), prep)
@@ -1026,9 +1026,7 @@ def gas(
             oracle = oracle_for(values[j])
             outcome = qes(oracle, child, sub_budget, backend)
             calls += outcome.oracle_calls
-            if outcome.found_index is not None and better(
-                values[outcome.found_index], values[j]
-            ):
+            if outcome.found_index is not None:  # marked, so strictly better
                 j = outcome.found_index
                 improvements += 1
         logs.append(RepetitionLog(start, j, calls, improvements))

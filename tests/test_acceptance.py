@@ -112,7 +112,7 @@ def test_criterion_03_grover_exact_case():
     """N=4, M=1: one iteration reaches the marked index with probability 1."""
     oracle = direct_marking_oracle(2, {3})
     iters = iteration_count(4, 1)
-    dense = apply(new_basis_state(2, 0), oracle.prep_circuit)
+    dense = apply(new_basis_state(oracle.num_qubits, 0), oracle.prep_circuit)
     dense = apply(dense, grover_operator(oracle))
     p_dense = subregister_distribution(dense, [0, 1])[3]
     p_eff = marked_probability_after(oracle, iters)

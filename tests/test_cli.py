@@ -273,6 +273,32 @@ def test_max_sharpe_ending_on_an_untied_padding_row_exits_1(capsys, monkeypatch,
     assert len(err.splitlines()) == 1
 
 
+def test_max_sharpe_ending_on_a_tied_padding_row_prints_a_real_id(capsys, monkeypatch, tmp_path):
+    import qslice.portfolio
+
+    # the rescaling divisor is (0.5 - 0.01) / 0.01 = 49, so every Sharpe ratio
+    # quantizes to 0 at this resolution and ties the padding row, index 3
+    path = tmp_path / "tied.csv"
+    path.write_text("id,expected_return,std_dev\n10,0.5,0.99\n11,0.011,0.01\n12,0.02,0.5\n")
+    gas, ended = qslice.portfolio.gas, []
+
+    def recording(*args, **kwargs):
+        result = gas(*args, **kwargs)
+        ended.append(result.index)
+        return result
+
+    monkeypatch.setattr(qslice.portfolio, "gas", recording)
+    for seed in range(12):
+        code, out, err = run_cli(
+            capsys, "max-sharpe", "--input", str(path), "--resolution", "0.05",
+            "--rf", "0.01", "--repeat", "1", "--seed", str(seed),
+        )
+        assert (code, err) == (0, "")
+        # a search ending on the padding row reports the first real row of the tie
+        assert json.loads(out)["id"] == (10, 11, 12, 10)[ended[-1]]
+    assert 3 in ended  # the padding branch ran
+
+
 def test_dense_slice_holds_only_the_workspace(capsys, tmp_path):
     # 4 rows at t = 2: a 15-qubit two-list oracle and a 7-qubit counting
     # register, whose joint state would be 2^22 amplitudes (64 MiB)

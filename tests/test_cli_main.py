@@ -36,6 +36,18 @@ def test_repeat_is_refused_before_the_input_is_read(capsys, tmp_path):
     assert captured.err.splitlines() == ["error: --repeat must be >= 1"]
 
 
+@pytest.mark.parametrize("command", ["slice", "count"])
+@pytest.mark.parametrize("flag", ["--return-min", "--risk-max"])
+@pytest.mark.parametrize("value", ["1", "-0.01", "nan"])
+def test_thresholds_are_refused_before_the_input_is_read(capsys, tmp_path, command, flag, value):
+    other = "--risk-max" if flag == "--return-min" else "--return-min"
+    code = main([command, "--input", str(tmp_path / "missing.csv"), f"{flag}={value}", other, "0.5"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {flag} must lie in [0, 1)"]
+
+
 @pytest.mark.parametrize("repeat", [str(MAX_REPEAT + 1), "100000000000000000000"])
 def test_repeat_above_the_maximum_is_one_error_line(capsys, repeat):
     # refused before the input is read: a run of that many repetitions never ends

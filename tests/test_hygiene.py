@@ -1,8 +1,9 @@
 """Source hygiene: every name a package or test module imports is used in that
 module, every private module-level name of the package is read somewhere in
 it, the package imports nothing its declared dependencies lack, it draws
-random numbers only through ``numpy.random.Generator``'s methods, and only
-``search`` counts solutions or doubles an oracle."""
+random numbers only through ``numpy.random.Generator``'s methods, only
+``search`` counts solutions or doubles an oracle, and only the oracle compiler
+constructs an ``OracleCircuit``."""
 
 import ast
 import re
@@ -232,3 +233,45 @@ def test_only_search_counts_or_doubles():
     # count drift apart again
     found = {p.stem: counting_calls(p.read_text()) for p in PACKAGE.glob("*.py") if p.stem != "search"}
     assert {module: names for module, names in found.items() if names} == {}
+
+
+def oracle_constructions(source: str) -> set[str]:
+    """Where ``OracleCircuit(...)`` is called, by name or as an attribute: the
+    dotted path of the functions and classes around each call, or
+    ``<module>`` at module level."""
+    found = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        elif isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "OracleCircuit":
+            found.add(scope or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_the_oracle_rule_finds_constructions_outside_the_compiler():
+    source = (
+        "from .oracles import OracleCircuit\n"
+        "from . import oracles\n"
+        "def _compile(cond):\n"
+        "    return OracleCircuit(cond, lambda: _compile(cond))\n"
+        "def direct(n): return oracles.OracleCircuit(n)\n"
+        "class Builder:\n"
+        "    def make(self): return OracleCircuit(self)\n"
+        "LOOSE = OracleCircuit(None)\n"
+        "def typed(oracle: OracleCircuit) -> OracleCircuit: return oracle\n"  # names, not calls
+    )
+    assert oracle_constructions(source) == {"_compile", "direct", "Builder.make", "<module>"}
+
+
+def test_only_the_compiler_constructs_an_oracle():
+    # every oracle then has the compiler's layout, oracle qubit and operator
+    # key, so no caller needs a branch for one that lacks them
+    found = {
+        f"{p.stem}.{scope}" for p in PACKAGE.glob("*.py") for scope in oracle_constructions(p.read_text())
+    }
+    assert found == {"oracles._compile"}

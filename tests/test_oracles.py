@@ -27,7 +27,7 @@ from qslice import (
     subregister_distribution,
     two_list_oracle,
 )
-from qslice.oracles import AllOf, AnyOf
+from qslice.oracles import EFFECTIVE_INDEX_CAP, AllOf, AnyOf
 from qslice.sim import Circuit, h, inverse_qft_circuit, phase_estimation_circuit, qft_circuit
 
 
@@ -176,12 +176,23 @@ def test_direct_marking_empty_is_identity():
     assert np.allclose(apply(state, oracle.circuit).amplitudes, state.amplitudes)
 
 
+def test_direct_marking_refuses_what_it_cannot_mark():
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        direct_marking_oracle(0, ())
+    for k in (-1, 4):  # -1 would otherwise wrap around the indicator table
+        with pytest.raises(ValueError, match=f"marked index {k} out of range for n=2"):
+            direct_marking_oracle(2, {k})
+    # refused before its 2**n-entry table is allocated
+    with pytest.raises(ValueError, match="exceeds the effective-backend cap"):
+        direct_marking_oracle(EFFECTIVE_INDEX_CAP + 1, ())
+
+
 def test_direct_marking_zero_on_plus():
     oracle = direct_marking_oracle(1, {0})
-    state = prepared(oracle)  # |+>
+    state = prepared(oracle)  # |+> on the index qubit
     out = apply(state, oracle.circuit)
     minus = np.array([1, -1]) / math.sqrt(2)
-    overlap = abs(np.vdot(minus, out.amplitudes))
+    overlap = abs(np.vdot(minus, index_amplitudes(out, oracle)))
     assert abs(overlap - 1.0) < 1e-12  # |-> up to global phase
 
 
@@ -303,7 +314,7 @@ def test_grover_no_marks_leaves_marginal():
 def test_grover_exact_rotation_n4():
     oracle = direct_marking_oracle(2, {2})
     out = apply(prepared(oracle), grover_operator(oracle))
-    assert abs(out.probabilities()[2] - 1.0) < 1e-9
+    assert abs(subregister_distribution(out, oracle.layout.index)[2] - 1.0) < 1e-9
 
 
 def test_grover_one_step_n8():
@@ -390,6 +401,16 @@ def test_oracle_predicate_equivalence_random(seed):
     # every working register (index_amplitudes raises on any leakage)
     oracle = _random_oracle(np.random.default_rng(seed))
     assert_marks_match_predicate(oracle)
+    # a direct marking oracle, compiled from its 1-bit indicator table, marks
+    # exactly its set, before and after doubling
+    rng = np.random.default_rng([seed, 1])
+    n = int(rng.integers(1, 9))
+    marked = np.flatnonzero(rng.random(1 << n) < rng.random()).tolist()
+    direct = direct_marking_oracle(n, marked)
+    want = np.isin(np.arange(1 << n), marked)
+    assert np.array_equal(direct.mask, want)
+    assert np.array_equal(direct.doubled().mask, np.isin(np.arange(2 << n), marked))
+    assert np.allclose(oracle_signs(direct), np.where(want, -1.0, 1.0), rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("seed", range(8))

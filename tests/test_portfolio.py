@@ -229,6 +229,8 @@ CELLS = ["0", "1", "7", " 2", "x", "", "1.5", "-0.0", "0.25", "0.999", "nan", "i
 # where numpy's text reader and int()/float()/csv may read a cell differently
 CELLS += ["+5", "007", "1_000", "\u0663", "5\x0c", " 5", '"5"', "#5", "9223372036854775808"]
 CELLS += ["3.0", "1e400", "Infinity", "-nan"]
+# separators that numpy strips around a number and int() and float() refuse
+CELLS += ["\x1c0.5", "0.5\x1f", "\x1d1", "\x1e"]
 # a quoted newline: `line N` counts records, not physical lines
 CELLS += ['"a\nb"']
 
@@ -249,6 +251,7 @@ csv_rows = st.one_of(
 @example(rows=[], newline="\n")
 @example(rows=["", " , , ", ""], newline="\r\n")  # only blank lines
 @example(rows=['0,0.5,"a\nb"'], newline="\r")  # line 2, though csv ends the record on line 3
+@example(rows=["0,0.5,0.5", "1,\x1c0.5,0.5\x1f"], newline="\n")  # numpy would read 0.5, 0.5
 def test_load_reports_what_a_row_by_row_reading_reports(rows, newline):
     text = newline.join(["id,expected_return,std_dev", *rows]) + newline
     # the reference splits lines at "\n" alone, so it reads the same rows "\n"-joined

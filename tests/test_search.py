@@ -1466,7 +1466,9 @@ def test_dense_sector_widths():
     # both flags, written and restored inside one fused monomial, drop out
     assert (oracles["two-list t=2"].num_qubits, width["two-list t=2"]) == (17, 11)
     assert width["or tree"] == 8
-    assert width["direct marking"] == 3  # nothing to drop
+    # a 1-bit indicator table: index 3, estimate, threshold and oracle qubit;
+    # the whole 6-qubit operator fuses into dense blocks, so all 6 stay
+    assert (oracles["direct marking"].num_qubits, width["direct marking"]) == (6, 6)
 
 
 def test_dense_sector_keeps_what_a_stage_moves():
