@@ -23,6 +23,7 @@ Two backends realise the Grover iteration:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
@@ -65,7 +66,7 @@ class ValueTable:
             outside = values[(values < 0) | (values >= limit)]
             bad = int(outside[0]) if outside.size else None
         else:
-            values = tuple(map(int, values))
+            values = tuple(map(_integer, values))
             # checked as Python ints: one beyond int64 would overflow the array
             bad = next((v for v in values if not 0 <= v < limit), None)
         if len(values) < 2 or len(values) & (len(values) - 1):
@@ -113,6 +114,13 @@ class ValueTable:
 
     def __repr__(self) -> str:
         return f"ValueTable(bits={self.bits}, n={self.n}, values={self.values!r})"
+
+
+def _integer(value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"value {value!r} is not an integer") from None
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +211,9 @@ class OracleCircuit:
     @cached_property
     def prep_circuit(self) -> Circuit:
         """Uniform index register, reference basis bits set, |-> oracle qubit."""
-        flipped = tuple(q for q in range(self.num_qubits) if self.reference_basis >> q & 1)
-        return _preparation(self.num_qubits, self.layout.index, self.oracle_qubit, flipped)
+        flipped = [x(q) for q in range(self.num_qubits) if self.reference_basis >> q & 1]
+        oracle = self.oracle_qubit
+        return Circuit(self.num_qubits, (*map(h, self.layout.index), *flipped, x(oracle), h(oracle)))
 
     @cached_property
     def mask(self) -> np.ndarray:
@@ -417,18 +426,6 @@ def _compile(
     )
 
 
-@lru_cache(maxsize=16)
-def _preparation(
-    num_qubits: int, index: tuple[int, ...], oracle: int, flipped: tuple[int, ...]
-) -> Circuit:
-    """The preparation of |psi>: H on the ``index`` qubits, X on the ``flipped``
-    ones, then |-> on the ``oracle`` qubit. It depends on the layout alone, so
-    the last 16 layouts are kept, each compiled on its first apply; no memo
-    holds a state. The dense backend prepares its sector with it, renumbered."""
-    gates = [h(q) for q in index] + [x(q) for q in flipped] + [x(oracle), h(oracle)]
-    return Circuit(num_qubits, tuple(gates))
-
-
 @lru_cache(maxsize=64)
 def _comparator(op: str, t: int, qubits: tuple[int, ...], num_qubits: int) -> Circuit:
     """The t-bit ``op`` comparator on (estimate, threshold, outcome) ``qubits``."""
@@ -610,18 +607,15 @@ def index_amplitudes(state: StateVector, oracle: OracleCircuit) -> np.ndarray:
     n = oracle.index_bits
     if oracle.layout.index != tuple(range(n)):
         raise ValueError("index register must occupy the low qubits")
-    anc_qubits = state.num_qubits - n
-    ref = np.zeros(1 << anc_qubits, dtype=np.complex128)
-    ref[oracle.reference_basis >> n] = 1.0
-    ref[(oracle.reference_basis | 1 << oracle.oracle_qubit) >> n] = -1.0
-    ref /= math.sqrt(2.0)  # |-> = (|0> - |1>) / sqrt(2) on the oracle qubit
-    mat = state.amplitudes.reshape(1 << anc_qubits, 1 << n)
-    # ref has two nonzero rows, so plain numpy sums replace BLAS
+    mat = state.amplitudes.reshape(-1, 1 << n)
+    # the reference ancilla state's two rows: the oracle qubit at 0 and at 1,
+    # |-> = (|0> - |1>) / sqrt(2); plain numpy sums over them replace BLAS
     # calls, which stall when the process is pinned to one CPU
-    rows = np.flatnonzero(ref)
-    coeffs = np.einsum("r,ri->i", ref[rows].conj(), mat[rows])
+    rows = [oracle.reference_basis >> n, (oracle.reference_basis | 1 << oracle.oracle_qubit) >> n]
+    ref = np.array([1.0, -1.0], dtype=np.complex128) / math.sqrt(2.0)
+    coeffs = np.einsum("r,ri->i", ref.conj(), mat[rows])
     residual = mat.copy()
-    residual[rows] -= np.outer(ref[rows], coeffs)
+    residual[rows] -= np.outer(ref, coeffs)
     flat = residual.view(np.float64).ravel()
     leak = math.sqrt(np.einsum("i,i->", flat, flat))
     if leak > 1e-9:

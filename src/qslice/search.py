@@ -11,10 +11,9 @@ The searches run on either backend:
   scales to list sizes far beyond dense reach.
 
 A dense evolution builds only what its table needs: the Grover operator is
-kept per value table and comparison (the last 8, ``_operator_slot``), and
-the preparation circuit per sector layout (the last 16,
-``oracles._preparation``); neither memo holds a state. Per gate and per
-stage facts are kept by ``sim``.
+kept per value table and comparison (the last 8, ``_operator_slot``), a memo
+that holds no state. |psi> and the index marginal are read off the oracle's
+layout, with no circuit. Per gate and per stage facts are kept by ``sim``.
 
 Each oracle memoises its Grover evolution on either backend (``_Evolution``):
 the furthest state G^j|psi> is stepped only when a larger j is asked for,
@@ -65,7 +64,6 @@ from .oracles import (
     ValueTable,
     effective_grover_step,
     effective_index_size,
-    _preparation,
     effective_state_new,
     grover_operator,
     single_list_oracle,
@@ -247,13 +245,12 @@ class _DenseEvolution(_Evolution):
     every qubit but the index and oracle qubits that no stage moves keeps
     its ``reference_basis`` bit. A threshold register drops out where one
     fused monomial holds the comparator's X chain, which writes it and
-    restores it; a register a dense block spans stays. |psi> is prepared on
-    the sector by the prep circuit's gates on the kept qubits, renumbered: a
-    circuit built and compiled once per sector layout
-    (``oracles._preparation``) and applied once per evolution, and every
-    gate is still applied. The index marginal is planned once per evolution
-    (``sim._Marginal``). Each overlap is an ``einsum`` over the nonzero
-    entries of the sector's |psi>, which unlike ``np.vdot`` calls no BLAS.
+    restores it; a register a dense block spans stays. |psi> is written on
+    the sector from the layout, as the prep circuit would leave it: the
+    index qubits, the sector's low n, uniform, the oracle qubit in |->, and
+    each other kept qubit at its ``reference_basis`` bit. The index marginal
+    is then one reshape and sum. Each overlap is an ``einsum`` over the
+    2^(n+1) nonzero entries of |psi>, which unlike ``np.vdot`` calls no BLAS.
     A draw inverts the float CDF of the simulated marginal in class order,
     kept for the last j, so it draws what the effective backend draws but
     for a uniform within float rounding of an interval's edge.
@@ -266,31 +263,30 @@ class _DenseEvolution(_Evolution):
             slot.append(grover_operator(oracle))
         moving = sum(1 << q for q in (*oracle.layout.index, oracle.oracle_qubit))
         self.operator = sector = sim.Sector(slot[0], held=~moving, values=oracle.reference_basis)
-        self.index = tuple(map(sector.position, oracle.layout.index))
-        # the X gates on fixed qubits set the values the sector holds; the rest
-        # are kept qubits of the reference basis
-        flipped = oracle.reference_basis & ~sector.fixed
-        prep = _preparation(
-            sector.num_qubits,
-            self.index,
-            sector.position(oracle.oracle_qubit),
-            tuple(sector.position(q) for q in range(oracle.num_qubits) if flipped >> q & 1),
-        )
-        psi = sim.apply(sim.new_basis_state(sector.num_qubits, 0), prep)
-        self._marginal = sim._Marginal(sector.num_qubits, self.index)
-        self._support = np.flatnonzero(psi.amplitudes)
-        self._bra = psi.amplitudes[self._support].conj()
+        # |psi>: the index qubits, the sector's low n, uniform; the oracle
+        # qubit in |->; every other kept qubit at its reference_basis bit
+        n = oracle.index_bits
+        base = sum(1 << sector.position(q) for q in sector.kept if oracle.reference_basis >> q & 1)
+        uniform = base + np.arange(1 << n)
+        oracle_bit = 1 << sector.position(oracle.oracle_qubit)
+        self._support = np.concatenate([uniform, uniform + oracle_bit])
+        amplitude = (1 / math.sqrt(2)) ** (n + 1)
+        amps = np.zeros(1 << sector.num_qubits, dtype=np.complex128)
+        amps[self._support] = np.repeat([amplitude, -amplitude], 1 << n)
+        self._bra = amps[self._support].conj()
         self._order = np.argsort(~oracle.mask, kind="stable")  # marked, then unmarked
         self.any_marked = bool(oracle.mask.any())
         self._cdf_iterations = -1
-        super().__init__(psi)
+        super().__init__(sim.StateVector(sector.num_qubits, amps))
 
     def step(self, state: sim.StateVector) -> sim.StateVector:
         return sim.apply(state, self.operator)
 
     def _record(self, state: sim.StateVector) -> tuple[np.ndarray, complex]:
         overlap = np.einsum("i,i", self._bra, state.amplitudes[self._support])
-        return self._marginal(state.probabilities()), complex(overlap)
+        # the index register is the sector's low n qubits: a row holds its 2^n values
+        marginal = state.probabilities().reshape(-1, self._order.size).sum(axis=0)
+        return marginal, complex(overlap)
 
     def locate(self, iterations: int, v):
         if iterations != self._cdf_iterations:

@@ -736,44 +736,17 @@ def _check_register(state_qubits: int, qubits: Sequence[int]) -> None:
 def subregister_distribution(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
     """Exact marginal distribution over the given register, LSB-first order.
 
-    The probability tensor is summed over the other qubits, taken as runs of
-    adjacent qubits so that each run is one axis, and the register's bits
-    are then transposed into its order (``_Marginal``).
+    The ``(2,) * w`` probability tensor, whose axis w - 1 - q holds qubit q,
+    is summed over the other qubits' axes, and the register's axes are then
+    transposed into its order.
     """
     _check_register(state.num_qubits, qubits)
-    return _Marginal(state.num_qubits, qubits)(state.probabilities())
-
-
-class _Marginal:
-    """``subregister_distribution``'s reshape, sums and transpose for one
-    width and register, planned once and applied to any probability vector."""
-
-    def __init__(self, num_qubits: int, qubits: Sequence[int]):
-        kept = set(qubits)
-        sizes: list[int] = []
-        summed: list[int] = []
-        top = num_qubits - 1
-        while top >= 0:  # runs of qubits on one side, most significant first
-            bottom = top
-            while bottom > 0 and ((bottom - 1) in kept) == (top in kept):
-                bottom -= 1
-            if top not in kept:
-                summed.append(len(sizes))
-            sizes.append(1 << (top - bottom + 1))
-            top = bottom - 1
-        self.sizes = tuple(sizes)
-        # one axis at a time, largest first: faster than one sum over many small axes
-        self.summed = sorted(summed, key=lambda a: -sizes[a])
-        self.register = (2,) * len(qubits)
-        # one axis per register qubit, most significant qubit first
-        descending = sorted(qubits, reverse=True)
-        self.order = [descending.index(q) for q in reversed(qubits)]
-
-    def __call__(self, probabilities: np.ndarray) -> np.ndarray:
-        marginal = probabilities.reshape(self.sizes)
-        for axis in self.summed:
-            marginal = marginal.sum(axis=axis, keepdims=True)
-        return marginal.reshape(self.register).transpose(self.order).reshape(-1)
+    w = state.num_qubits
+    others = tuple(w - 1 - q for q in range(w) if q not in qubits)
+    marginal = state.probabilities().reshape((2,) * w).sum(axis=others)
+    # the axes left hold the register's qubits, most significant first
+    descending = sorted(qubits, reverse=True)
+    return marginal.transpose([descending.index(q) for q in reversed(qubits)]).reshape(-1)
 
 
 def measure_subregister(

@@ -2,8 +2,9 @@
 module, every private module-level name of the package is read somewhere in
 it, the package imports nothing its declared dependencies lack, it draws
 random numbers only through ``numpy.random.Generator``'s methods, only
-``search`` counts solutions or doubles an oracle, and only the oracle compiler
-constructs an ``OracleCircuit``."""
+``search`` counts solutions or doubles an oracle, only the oracle compiler
+constructs an ``OracleCircuit``, and no package module reads another's
+private name."""
 
 import ast
 import re
@@ -275,3 +276,52 @@ def test_only_the_compiler_constructs_an_oracle():
         f"{p.stem}.{scope}" for p in PACKAGE.glob("*.py") for scope in oracle_constructions(p.read_text())
     }
     assert found == {"oracles._compile"}
+
+
+def foreign_privates(source: str) -> set[str]:
+    """``module._name`` for each private name of a qslice module that ``source``
+    imports by name, or reads as an attribute of a qslice module it imports."""
+    tree = ast.parse(source)
+    modules, found = {}, set()  # each name bound to a qslice module, with the module's own name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update((a.asname or a.name, a.name.split(".")[-1])
+                           for a in node.names if a.name.startswith("qslice."))
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "qslice"):
+            module = (node.module or "qslice").split(".")[-1]
+            for a in node.names:
+                if module == "qslice":  # ``from . import sim``: a module by name
+                    modules[a.asname or a.name] = a.name
+                elif a.name.startswith("_") and not a.name.startswith("__"):
+                    found.add(f"{module}.{a.name}")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") and not node.attr.startswith("__"):
+            module = modules.get(ast.unparse(node.value))
+            if module:
+                found.add(f"{module}.{node.attr}")
+    return found
+
+
+def test_the_foreign_private_rule_finds_reads_across_modules():
+    source = (
+        "import qslice.comparators\n"
+        "from . import sim, portfolio as pf\n"
+        "from qslice import cli\n"
+        "from .oracles import ValueTable, _preparation\n"
+        "from qslice.search import _operator_slot as slot, __doc__\n"
+        "_OWN = 1\n"
+        "def f(state):\n"
+        "    sim.apply(state, sim._Marginal(3, (0,)))\n"
+        "    pf._padded(state, 4), cli.__name__, state._private, _OWN\n"  # none of these
+        "    return qslice.comparators._helper(slot)\n"
+    )
+    want = {"oracles._preparation", "search._operator_slot", "sim._Marginal", "portfolio._padded",
+            "comparators._helper"}
+    assert foreign_privates(source) == want
+
+
+def test_no_package_module_reads_another_modules_private_name():
+    # a private name is free to change with its module; a reader elsewhere
+    # would tie the two together
+    found = {f"{p.stem}: {name}" for p in PACKAGE.glob("*.py") for name in foreign_privates(p.read_text())}
+    assert found == set()

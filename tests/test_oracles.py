@@ -28,7 +28,7 @@ from qslice import (
     two_list_oracle,
 )
 from qslice.oracles import EFFECTIVE_INDEX_CAP, AllOf, AnyOf
-from qslice.sim import Circuit, h, inverse_qft_circuit, phase_estimation_circuit, qft_circuit
+from qslice.sim import Circuit, h, inverse_qft_circuit, phase_estimation_circuit, qft_circuit, x
 
 
 def prepared(oracle):
@@ -65,6 +65,15 @@ def test_value_table_validation():
         ValueTable(2, (4, 0, 0, 0))  # out of range
     with pytest.raises(ValueError, match="does not fit in 2 bits"):
         ValueTable(2, (2**70, 0, 0, 0))  # beyond int64 too
+    # a value that is not an integer is refused, never truncated
+    with pytest.raises(ValueError, match="value 0.9 is not an integer"):
+        ValueTable(2, (0.9, 3.99, 0, 0))
+    with pytest.raises(ValueError, match="value '1' is not an integer"):
+        ValueTable(2, ("1", 0, 0, 0))
+    with pytest.raises(ValueError, match="is not an integer"):
+        ValueTable(2, np.array([1.0, 3.0, 0.0, 0.0]))
+    assert ValueTable(2, np.array([1, 3, 0, 2], dtype=np.int32)).values == (1, 3, 0, 2)
+    assert ValueTable(2, (np.uint8(3), True, 0, 2)).values == (3, 1, 0, 2)
     vt = ValueTable(3, (1, 5, 3, 7))
     assert vt.n == 2 and vt.size == 4
     assert np.allclose(vt.fractions(), [1 / 8, 5 / 8, 3 / 8, 7 / 8])
@@ -209,6 +218,16 @@ def test_direct_marking_all_is_global_phase():
 # ---------------------------------------------------------------------------
 # Condition trees
 # ---------------------------------------------------------------------------
+
+
+def test_condition_oracle_on_one_atom_is_the_single_list_oracle():
+    table = ValueTable(2, (1, 3, 0, 2))
+    for atom in (greater_than(table, 2), less_than(table, 2), equals(table, 2)):
+        got, want = condition_oracle(atom), single_list_oracle(table, 2, atom.op)
+        assert (got.layout, got.description) == (want.layout, want.description)
+        assert np.array_equal(got.mask, want.mask)
+    with pytest.raises(ValueError, match="at least two children"):
+        condition_oracle(all_of(greater_than(table, 1)))
 
 
 def test_condition_oracle_matches_two_list_semantics():
@@ -367,6 +386,16 @@ def test_effective_matches_dense_single_list():
         dense = apply(dense, op)
         eff = effective_grover_step(eff, oracle.marked_set)
     assert np.allclose(index_amplitudes(dense, oracle), eff.amplitudes, atol=1e-9)
+
+
+def test_index_amplitudes_refuses_a_workspace_that_leaked():
+    oracle = single_list_oracle(ValueTable(2, (1, 3, 0, 2)), 1)
+    out = apply(prepared(oracle), oracle.circuit)
+    assert np.allclose(np.abs(index_amplitudes(out, oracle)), 0.5, atol=1e-12)
+    # an estimate qubit left at 1 puts every amplitude outside the two reference rows
+    leaked = apply(out, Circuit(oracle.num_qubits, (x(oracle.layout["estimate"][0]),)))
+    with pytest.raises(RuntimeError, match="leaked"):
+        index_amplitudes(leaked, oracle)
 
 
 def _random_oracle(rng):

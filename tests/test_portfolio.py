@@ -421,6 +421,14 @@ def test_sharpe_negative_clamped_with_warning():
     with pytest.warns(UserWarning, match="clamped"):
         values = sharpe_values(table, 0.2)
     assert values[0] == 0
+    # no return above rf: every value is 0, and one warning counts the clamps
+    for rf, clamped in ((0.4, 1), (0.5, 2)):
+        with pytest.warns(UserWarning) as caught:
+            values = sharpe_values(table, rf)
+        assert values.values == (0,) * values.size
+        assert [str(w.message) for w in caught] == [
+            f"{clamped} portfolio(s) had negative Sharpe ratio and were clamped to 0"
+        ]
 
 
 def test_sharpe_rescaling_keeps_argmax_when_separated():

@@ -1419,7 +1419,7 @@ def test_dense_search_builds_one_operator_and_steps_to_the_largest_count(monkeyp
     assert len(builds) == 1
     op = oracle.dense_evolution.operator
     assert sum(c is op for c in applied) == max(STREAM_ITERATIONS)
-    assert len(applied) == max(STREAM_ITERATIONS) + 1  # and one preparation
+    assert len(applied) == max(STREAM_ITERATIONS)  # every apply is an operator step
 
 
 def sector_oracles():
@@ -1598,7 +1598,6 @@ def test_a_new_table_of_a_seen_shape_fuses_only_its_phase_estimations(monkeypatc
 
     monkeypatch.setattr(sim, "_fuse", counted_fuse)
     monkeypatch.setattr(sim, "_compile", lambda c: compiled.append(c) or compile_(c))
-    preparations = oracles._preparation.cache_info().misses
     evolution = search._evolution(oracle, "dense")
     # one compile, the Grover operator's; its only new stages are the phase
     # estimation and its inverse, which hold the table's phases
@@ -1607,7 +1606,6 @@ def test_a_new_table_of_a_seen_shape_fuses_only_its_phase_estimations(monkeypatc
     assert len(fused) == 2 and all(
         any(g.kind == sim.KIND_PHASE and g.targets == index for g in run) for run in fused
     )
-    assert oracles._preparation.cache_info().misses == preparations
 
 
 def test_equal_gates_hash_equal_and_a_loaded_gate_is_rehashed():
@@ -1635,7 +1633,7 @@ def test_equal_gates_hash_equal_and_a_loaded_gate_is_rehashed():
 
 def test_every_build_memo_is_bounded():
     memos = (sim._fuse, sim._inverse_qft, oracles._comparator, oracles._diffusion,
-             search._operator_slot, oracles._preparation)
+             search._operator_slot)
     assert all(memo.cache_info().maxsize for memo in memos)
 
 

@@ -449,11 +449,18 @@ def _random_state(rng, num_qubits):
 
 
 def test_global_phase_controlled_on_every_qubit():
-    # controls covering every qubit leave a 0-d view of the state to scale
+    # controls covering every qubit leave a 0-d view of the state to scale;
+    # uncontrolled, a global phase scales the whole state, and a run of
+    # global phases alone compiles to a span-0 monomial
     rng = np.random.default_rng(5)
+    alone = Circuit(12, (phase((), (0.25,)), h(0, {11})))  # the H is too wide to join the run
+    assert alone.stages[0].span == 0
     cases = (
         (controlled(Circuit(1, (phase((), (0.5,)),)), {0}), Circuit(1, (z(0),))),
         (Circuit(2, (phase((), (0.5,), controls={0, 1}),)), Circuit(2, (z(1, {0}),))),
+        (Circuit(1, (phase((), (0.5,)),)), Circuit(1, (unitary(0, -np.eye(2)),))),
+        (Circuit(2, (phase((), (0.25,)), x(1))), Circuit(2, (unitary(1, [[0, 1j], [1j, 0]]),))),
+        (alone, Circuit(12, (unitary(0, 1j * np.eye(2)), h(0, {11})))),
     )
     for got, want in cases:
         n = got.num_qubits
